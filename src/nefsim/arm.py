@@ -89,47 +89,57 @@ def _h_entries(model, q2, q3):
             model._b12 * c2, model._b13 * c23, model._b23 * c3)
 
 
-def mass_matrix(model: ArmModel, q):
-    """Joint-space inertia M(q) (3x3, symmetric positive definite)."""
-    h11, h22, h33, h12, h13, h23 = _h_entries(model, q[1], q[2])
-    m33 = h33
-    m13 = h13 + h23 + h33
-    m23 = h23 + h33
-    m22 = h22 + 2.0 * h23 + h33
-    m12 = h22 + h33 + h12 + h13 + 2.0 * h23
-    m11 = h11 + h22 + h33 + 2.0 * (h12 + h13 + h23)
-    return np.array([[m11, m12, m13], [m12, m22, m23], [m13, m23, m33]])
+def _mass(model, q2, q3):
+    """Entries (m11, m12, m13, m22, m23, m33) of the symmetric M(q)."""
+    h11, h22, h33, h12, h13, h23 = _h_entries(model, q2, q3)
+    return (h11 + h22 + h33 + 2.0 * (h12 + h13 + h23),
+            h22 + h33 + h12 + h13 + 2.0 * h23,
+            h13 + h23 + h33,
+            h22 + 2.0 * h23 + h33,
+            h23 + h33,
+            h33)
 
 
-def gravity_torque(model: ArmModel, q):
-    """Joint torques exactly balancing gravity at pose q."""
+def _gravity(model, q1, q2, q3):
     g = model.gravity
-    c1 = math.cos(q[0])
-    c12 = math.cos(q[0] + q[1])
-    c123 = math.cos(q[0] + q[1] + q[2])
-    t3 = g * model._g3 * c123
-    t2 = g * model._g2 * c12 + t3
-    t1 = g * model._g1 * c1 + t2
-    return np.array([t1, t2, t3])
+    t3 = g * model._g3 * math.cos(q1 + q2 + q3)
+    t2 = g * model._g2 * math.cos(q1 + q2) + t3
+    t1 = g * model._g1 * math.cos(q1) + t2
+    return t1, t2, t3
 
 
-def coriolis_torque(model: ArmModel, q, dq):
-    """Coriolis/centrifugal torque vector c(q, dq)."""
-    w1 = dq[0]
-    w2 = w1 + dq[1]
-    w3 = w2 + dq[2]
-    s2 = math.sin(q[1])
-    s3 = math.sin(q[2])
-    s23 = math.sin(q[1] + q[2])
-    d12 = -model._b12 * s2 * dq[1]
-    d13 = -model._b13 * s23 * (dq[1] + dq[2])
-    d23 = -model._b23 * s3 * dq[2]
+def _coriolis(model, q2, q3, dq1, dq2, dq3):
+    w1 = dq1
+    w2 = w1 + dq2
+    w3 = w2 + dq3
+    s2 = math.sin(q2)
+    s3 = math.sin(q3)
+    s23 = math.sin(q2 + q3)
+    d12 = -model._b12 * s2 * dq2
+    d13 = -model._b13 * s23 * (dq2 + dq3)
+    d23 = -model._b23 * s3 * dq3
     y1 = d12 * w2 + d13 * w3
     y2 = d12 * w1 + d23 * w3
     y3 = d13 * w1 + d23 * w2
     p2 = -model._b12 * s2 * w1 * w2 - model._b13 * s23 * w1 * w3
     p3 = -model._b13 * s23 * w1 * w3 - model._b23 * s3 * w2 * w3
-    return np.array([y1 + y2 + y3, y2 + y3 - p2, y3 - p3])
+    return y1 + y2 + y3, y2 + y3 - p2, y3 - p3
+
+
+def mass_matrix(model: ArmModel, q):
+    """Joint-space inertia M(q) (3x3, symmetric positive definite)."""
+    m11, m12, m13, m22, m23, m33 = _mass(model, q[1], q[2])
+    return np.array([[m11, m12, m13], [m12, m22, m23], [m13, m23, m33]])
+
+
+def gravity_torque(model: ArmModel, q):
+    """Joint torques exactly balancing gravity at pose q."""
+    return np.array(_gravity(model, q[0], q[1], q[2]))
+
+
+def coriolis_torque(model: ArmModel, q, dq):
+    """Coriolis/centrifugal torque vector c(q, dq)."""
+    return np.array(_coriolis(model, q[1], q[2], dq[0], dq[1], dq[2]))
 
 
 def _solve3(m11, m12, m13, m22, m23, m33, b1, b2, b3):
@@ -150,36 +160,9 @@ def _solve3(m11, m12, m13, m22, m23, m33, b1, b2, b3):
 
 
 def _accel(model, q1, q2, q3, dq1, dq2, dq3, u1, u2, u3):
-    h11, h22, h33, h12, h13, h23 = _h_entries(model, q2, q3)
-    m33 = h33
-    m13 = h13 + h23 + h33
-    m23 = h23 + h33
-    m22 = h22 + 2.0 * h23 + h33
-    m12 = h22 + h33 + h12 + h13 + 2.0 * h23
-    m11 = h11 + h22 + h33 + 2.0 * (h12 + h13 + h23)
-
-    w1, w2, w3 = dq1, dq1 + dq2, dq1 + dq2 + dq3
-    s2, s3, s23 = math.sin(q2), math.sin(q3), math.sin(q2 + q3)
-    d12 = -model._b12 * s2 * dq2
-    d13 = -model._b13 * s23 * (dq2 + dq3)
-    d23 = -model._b23 * s3 * dq3
-    y1 = d12 * w2 + d13 * w3
-    y2 = d12 * w1 + d23 * w3
-    y3 = d13 * w1 + d23 * w2
-    p2 = -model._b12 * s2 * w1 * w2 - model._b13 * s23 * w1 * w3
-    p3 = -model._b13 * s23 * w1 * w3 - model._b23 * s3 * w2 * w3
-    c1, c2c, c3c = y1 + y2 + y3, y2 + y3 - p2, y3 - p3
-
-    g = model.gravity
-    cq1 = math.cos(q1)
-    cq12 = math.cos(q1 + q2)
-    cq123 = math.cos(q1 + q2 + q3)
-    g3t = g * model._g3 * cq123
-    g2t = g * model._g2 * cq12 + g3t
-    g1t = g * model._g1 * cq1 + g2t
-
-    return _solve3(m11, m12, m13, m22, m23, m33,
-                   u1 - c1 - g1t, u2 - c2c - g2t, u3 - c3c - g3t)
+    c1, c2, c3 = _coriolis(model, q2, q3, dq1, dq2, dq3)
+    g1, g2, g3 = _gravity(model, q1, q2, q3)
+    return _solve3(*_mass(model, q2, q3), u1 - c1 - g1, u2 - c2 - g2, u3 - c3 - g3)
 
 
 def arm_dynamics_step(model: ArmModel, state: ArmState, u, dt):
@@ -268,10 +251,7 @@ def _osc_terms(model, q, dq, target, kp, kv, accel_extra_x=0.0, accel_extra_y=0.
     ax = kp * (target[0] - x[0]) - kv * dx + accel_extra_x
     ay = kp * (target[1] - x[1]) - kv * dy + accel_extra_y
 
-    M = mass_matrix(model, q)
-    m11, m12, m13 = M[0]
-    m22, m23 = M[1][1], M[1][2]
-    m33 = M[2][2]
+    m11, m12, m13, m22, m23, m33 = _mass(model, q[1], q[2])
     r1 = _solve3(m11, m12, m13, m22, m23, m33, j0[0], j0[1], j0[2])
     r2 = _solve3(m11, m12, m13, m22, m23, m33, j1[0], j1[1], j1[2])
     a = j0[0] * r1[0] + j0[1] * r1[1] + j0[2] * r1[2]
@@ -301,7 +281,7 @@ def _osc_terms(model, q, dq, target, kp, kv, accel_extra_x=0.0, accel_extra_y=0.
     u_task = (j0[0] * fx + j1[0] * fy,
               j0[1] * fx + j1[1] * fy,
               j0[2] * fx + j1[2] * fy)
-    g = gravity_torque(model, q)
+    g = _gravity(model, q[0], q[1], q[2])
 
     u_null = (0.0, 0.0, 0.0)
     if (null_kp or null_kv) and q_rest is not None:
@@ -321,7 +301,7 @@ def _osc_terms(model, q, dq, target, kp, kv, accel_extra_x=0.0, accel_extra_y=0.
         u_null = (up1 - (j0[0] * w0 + j1[0] * w1),
                   up2 - (j0[1] * w0 + j1[1] * w1),
                   up3 - (j0[2] * w0 + j1[2] * w1))
-    return u_task, (g[0], g[1], g[2]), u_null
+    return u_task, g, u_null
 
 
 def osc_pd(model_nominal: ArmModel, state: ArmState, target, kp, kv,
@@ -337,6 +317,14 @@ def osc_pd(model_nominal: ArmModel, state: ArmState, target, kp, kv,
                      u_task[2] + g[2] + u_null[2]])
 
 
+def _pid_integral(integral, target, x, dt, ki, windup):
+    """Task-space error integral advanced by one dt, clamped so that its
+    acceleration command ki*integral saturates at +-windup."""
+    limit = windup / ki if ki > 0 else math.inf
+    return (min(max(integral[0] + (target[0] - x[0]) * dt, -limit), limit),
+            min(max(integral[1] + (target[1] - x[1]) * dt, -limit), limit))
+
+
 def osc_pid(model_nominal: ArmModel, state: ArmState, target, kp, kv, ki,
             integral, dt, windup=10.0, sigma_min=1e-3,
             null_kp=0.0, null_kv=0.0, q_rest=None):
@@ -347,9 +335,7 @@ def osc_pid(model_nominal: ArmModel, state: ArmState, target, kp, kv, ki,
     clamped so its acceleration command ki*integral saturates at +-windup.
     """
     x, _ = forward_kinematics(model_nominal, state.q)
-    limit = windup / ki if ki > 0 else math.inf
-    ix = min(max(integral[0] + (target[0] - x[0]) * dt, -limit), limit)
-    iy = min(max(integral[1] + (target[1] - x[1]) * dt, -limit), limit)
+    ix, iy = _pid_integral(integral, target, x, dt, ki, windup)
     u_task, g, u_null = _osc_terms(model_nominal, state.q, state.dq, target,
                                    kp, kv, accel_extra_x=ki * ix,
                                    accel_extra_y=ki * iy, sigma_min=sigma_min,
@@ -507,12 +493,15 @@ class _PathFilter:
 class SessionResult:
     records: list
     max_u_adapt: float = 0.0
-    diverged: bool = False
+    diverged: bool = False  # stays False: divergence raises DivergedLearningError
 
 
 def _run_session(cfg: ArmConfig, task: ReachTask, controller, session,
                  sim=None, trajectory=None, traj_every=10):
-    """50 reaches with one controller; decoders (if any) persist throughout."""
+    """50 reaches with one controller; decoders (if any) persist throughout.
+
+    PES divergence raises DivergedLearningError naming the controller,
+    session, trial and time within the reach."""
     nominal = cfg.nominal_model()
     payload = 0.0 if controller == PD_NOLOAD else cfg.payload_mass
     plant = cfg.plant_model(payload)
@@ -522,7 +511,6 @@ def _run_session(cfg: ArmConfig, task: ReachTask, controller, session,
     records = []
     max_ua = 0.0
     adaptive = controller in (ADAPTIVE_REFERENCE, ADAPTIVE_FIXED)
-    diverged = False
 
     q_rest = tuple(task.start_q)
     for trial in range(task.n_reaches):
@@ -531,61 +519,60 @@ def _run_session(cfg: ArmConfig, task: ReachTask, controller, session,
         path = _PathFilter(hand0, cfg.path_tau, cfg.dt)
         integral = (0.0, 0.0)
         err_acc = 0.0
-        outputs = {}
-        try:
-            for i in range(n_steps):
-                ref = path.step(target)
-                if controller == PID:
-                    x, _ = forward_kinematics(nominal, state.q)
-                    limit = cfg.windup / cfg.ki if cfg.ki > 0 else math.inf
-                    ix = min(max(integral[0] + (ref[0] - x[0]) * cfg.dt, -limit), limit)
-                    iy = min(max(integral[1] + (ref[1] - x[1]) * cfg.dt, -limit), limit)
-                    integral = (ix, iy)
-                    u_task, gcomp, u_null = _osc_terms(
-                        nominal, state.q, state.dq, ref, cfg.kp, cfg.kv,
-                        accel_extra_x=cfg.ki * ix, accel_extra_y=cfg.ki * iy,
-                        sigma_min=cfg.sigma_min, null_kp=cfg.null_kp,
-                        null_kv=cfg.null_kv, q_rest=q_rest)
-                else:
-                    u_task, gcomp, u_null = _osc_terms(
-                        nominal, state.q, state.dq, ref, cfg.kp, cfg.kv,
-                        sigma_min=cfg.sigma_min, null_kp=cfg.null_kp,
-                        null_kv=cfg.null_kv, q_rest=q_rest)
-                u1 = u_task[0] + gcomp[0] + u_null[0]
-                u2 = u_task[1] + gcomp[1] + u_null[1]
-                u3 = u_task[2] + gcomp[2] + u_null[2]
-                ua = (0.0, 0.0, 0.0)
-                if adaptive:
-                    ctx = project_hypersphere(
-                        normalize_feedback(state.q, state.dq, limits, cfg.vel_bound))
-                    # The training error is the negated outbound corrective
-                    # torque (task + null-space posture), so the decoded
-                    # signal integrates toward whatever the controller is
-                    # persistently working against.  Nominal gravity
-                    # compensation is already correct and stays out; leaving
-                    # the posture torque out too would let learned null-space
-                    # components grow unseen by the rule.
-                    err = (-(u_task[0] + u_null[0]),
-                           -(u_task[1] + u_null[1]),
-                           -(u_task[2] + u_null[2]))
+        for i in range(n_steps):
+            ref = path.step(target)
+            if controller == PID:
+                x, _ = forward_kinematics(nominal, state.q)
+                integral = _pid_integral(integral, ref, x, cfg.dt, cfg.ki,
+                                         cfg.windup)
+                u_task, gcomp, u_null = _osc_terms(
+                    nominal, state.q, state.dq, ref, cfg.kp, cfg.kv,
+                    accel_extra_x=cfg.ki * integral[0],
+                    accel_extra_y=cfg.ki * integral[1],
+                    sigma_min=cfg.sigma_min, null_kp=cfg.null_kp,
+                    null_kv=cfg.null_kv, q_rest=q_rest)
+            else:
+                u_task, gcomp, u_null = _osc_terms(
+                    nominal, state.q, state.dq, ref, cfg.kp, cfg.kv,
+                    sigma_min=cfg.sigma_min, null_kp=cfg.null_kp,
+                    null_kv=cfg.null_kv, q_rest=q_rest)
+            u1 = u_task[0] + gcomp[0] + u_null[0]
+            u2 = u_task[1] + gcomp[1] + u_null[1]
+            u3 = u_task[2] + gcomp[2] + u_null[2]
+            ua = (0.0, 0.0, 0.0)
+            if adaptive:
+                ctx = project_hypersphere(
+                    normalize_feedback(state.q, state.dq, limits, cfg.vel_bound))
+                # The training error is the negated outbound corrective
+                # torque (task + null-space posture), so the decoded
+                # signal integrates toward whatever the controller is
+                # persistently working against.  Nominal gravity
+                # compensation is already correct and stays out; leaving
+                # the posture torque out too would let learned null-space
+                # components grow unseen by the rule.
+                err = (-(u_task[0] + u_null[0]),
+                       -(u_task[1] + u_null[1]),
+                       -(u_task[2] + u_null[2]))
+                try:
                     outputs = sim.step({"context": ctx, "training_error": err})
-                    ua = outputs["u_adapt"]
-                    mag = math.sqrt(ua[0] ** 2 + ua[1] ** 2 + ua[2] ** 2)
-                    if mag > max_ua:
-                        max_ua = mag
-                state = arm_dynamics_step(
-                    plant, state, (u1 + ua[0], u2 + ua[1], u3 + ua[2]), cfg.dt)
-                hx, _ = forward_kinematics(nominal, state.q)
-                err_acc += math.hypot(hx[0] - target[0], hx[1] - target[1])
-                if trajectory is not None and i % traj_every == 0:
-                    trajectory.append((state.t, *state.q, hx[0], hx[1],
-                                       u1 + ua[0], u2 + ua[1], u3 + ua[2],
-                                       ua[0], ua[1], ua[2]))
-        except DivergedLearningError:
-            diverged = True
-            break
+                except DivergedLearningError as exc:
+                    raise DivergedLearningError(
+                        f"controller {controller}, session {session}, "
+                        f"trial {trial}, t={state.t:.6f}s: {exc}") from exc
+                ua = outputs["u_adapt"]
+                mag = math.sqrt(ua[0] ** 2 + ua[1] ** 2 + ua[2] ** 2)
+                if mag > max_ua:
+                    max_ua = mag
+            state = arm_dynamics_step(
+                plant, state, (u1 + ua[0], u2 + ua[1], u3 + ua[2]), cfg.dt)
+            hx, _ = forward_kinematics(nominal, state.q)
+            err_acc += math.hypot(hx[0] - target[0], hx[1] - target[1])
+            if trajectory is not None and i % traj_every == 0:
+                trajectory.append((state.t, *state.q, hx[0], hx[1],
+                                   u1 + ua[0], u2 + ua[1], u3 + ua[2],
+                                   ua[0], ua[1], ua[2]))
         records.append(TrialRecord(session, trial, controller, err_acc / n_steps))
-    return SessionResult(records=records, max_u_adapt=max_ua, diverged=diverged)
+    return SessionResult(records=records, max_u_adapt=max_ua)
 
 
 def run_reach_experiment(cfg: ArmConfig, task: ReachTask, controller, seed,
@@ -604,7 +591,7 @@ def run_reach_experiment(cfg: ArmConfig, task: ReachTask, controller, seed,
             results.append(SessionResult(
                 records=[TrialRecord(session, r.trial, r.controller, r.error_raw)
                          for r in first.records],
-                max_u_adapt=first.max_u_adapt, diverged=first.diverged))
+                max_u_adapt=first.max_u_adapt))
             continue
         sim = None
         if adaptive:
@@ -626,6 +613,7 @@ def run_arm_protocol(cfg: ArmConfig, task: ReachTask, seed,
     Percent error is 100*(E - E0)/(E1 - E0) per (session, trial) against the
     PD baselines: E0 = PD without payload (0% by construction), E1 = PD with
     payload (100%).  Baselines are always run, whether or not requested.
+    A diverging adaptive session raises DivergedLearningError.
     """
     needed = list(dict.fromkeys([PD_NOLOAD, PD_LOAD] + list(controllers)))
     sessions = {c: run_reach_experiment(cfg, task, c, seed, trajectory=trajectory)

@@ -159,8 +159,9 @@ class CompiledConnection:
     quantized_weights: np.ndarray | None = None
     weight_exponent: int = 0
     # learning-specific (None on static connections)
-    decoders: np.ndarray | None = None    # (n_source, k), live-updated copy at run time
-    fold_left: np.ndarray | None = None   # E_t @ T or T; weights = fold_left @ d^T
+    decoders: np.ndarray | None = None    # (n_source, k), initial; PES updates a copy
+    fold_left: np.ndarray | None = None   # E_t @ T or T; weights = fold_left @ d^T,
+    #                                       None when that is the identity
     learning_rate: float | None = None
     error_source: str | None = None
 
@@ -190,7 +191,6 @@ class CompiledModel:
     connections: list
     probes: list
     ens_index: dict = field(default_factory=dict)
-    node_index: dict = field(default_factory=dict)
 
     def ensemble(self, id):
         return self.ensembles[self.ens_index[id]]
@@ -260,7 +260,6 @@ def compile_graph(graph: gr.ModelGraph, backend=REFERENCE, seed=0,
     ens_index = {ce.id: i for i, ce in enumerate(compiled_ens)}
 
     nodes = graph.nodes
-    node_index = {n.id: i for i, n in enumerate(nodes)}
 
     # Probed ensembles additionally need identity decoders.
     probe_targets = {p.target for p in graph.probes if p.quantity == gr.DECODED_OUTPUT}
@@ -320,7 +319,10 @@ def compile_graph(graph: gr.ModelGraph, backend=REFERENCE, seed=0,
         )
         if conn.learning is not None:
             cc.decoders = d
-            cc.fold_left = T if tgt_enc is None else tgt_enc @ T
+            fold = T if tgt_enc is None else tgt_enc @ T
+            if not (fold.shape[0] == fold.shape[1]
+                    and np.array_equal(fold, np.eye(fold.shape[0]))):
+                cc.fold_left = fold
             cc.learning_rate = conn.learning.learning_rate
             cc.error_source = conn.learning.error_source
         if backend == FIXED_POINT:
@@ -355,5 +357,5 @@ def compile_graph(graph: gr.ModelGraph, backend=REFERENCE, seed=0,
         dt=graph.dt, backend=backend, qspec=qspec,
         ensembles=compiled_ens, nodes=nodes, node_order=graph.node_order(),
         connections=compiled_conns, probes=compiled_probes,
-        ens_index=ens_index, node_index=node_index,
+        ens_index=ens_index,
     )

@@ -8,8 +8,11 @@ Order within a step:
 2. ensemble input currents are assembled from the same connection outputs
    and the neurons advance, emitting spikes scaled to counts/dt (Hz);
 3. every synapse filter updates with the new signal, y <- a*y + (1-a)*x;
-4. PES updates run on the freshly filtered activities, using the error value
-   from step 1 (one-step-delayed error);
+4. PES updates (``pes_delta``) run on the freshly filtered activities, using
+   the error value from step 1 (one-step-delayed error).  A learned
+   connection's decoders are its only PES-updated state; its weights are
+   re-derived from them after each update (folded, and requantized once on
+   the fixed backend);
 5. outputs and probes are populated from the post-update states.
 
 Everything is deterministic given (model, state, inputs); no randomness and
@@ -49,7 +52,8 @@ def pes_delta(a, u, learning_rate, dt, n_neurons):
     """
     a = np.asarray(a, dtype=float)
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    return -(learning_rate * dt / n_neurons) * np.outer(a, u)
+    scale = -(learning_rate * dt / n_neurons)
+    return (scale * a)[:, None] * u
 
 
 def pes_update(d, a, u, learning_rate, dt, n_neurons):
@@ -95,37 +99,29 @@ class Simulator:
             else:
                 self._inbound_conns[c.target].append(c)
         by_id = {c.id: c for c in model.connections}
+        self._learned = [c for c in model.connections if c.learned]
         self._error_refs = {}
-        self._fold_is_identity = {}
-        for c in model.connections:
-            if c.learned:
-                src = c.error_source
-                if src in self._node_specs:
-                    self._error_refs[c.id] = ("node", src)
-                else:
-                    self._error_refs[c.id] = ("conn", by_id[src])
-                fl = c.fold_left
-                self._fold_is_identity[c.id] = (
-                    fl.shape[0] == fl.shape[1] and np.array_equal(fl, np.eye(fl.shape[0]))
-                )
+        for c in self._learned:
+            src = c.error_source
+            if src in self._node_specs:
+                self._error_refs[c.id] = ("node", src)
+            else:
+                self._error_refs[c.id] = ("conn", by_id[src])
         # nodes whose start-of-step value anything consumes: sources of
-        # node->ensemble connections, PES error nodes, and their node-chain
-        # ancestors; the rest are only evaluated in the output pass
-        needed = {c.source for c in model.connections
-                  if c.target_is_ensemble and not c.source_is_ensemble}
+        # connections into ensembles, of filtered connections (stage 3 feeds
+        # their filters), PES error nodes, and the node-chain ancestors of
+        # these; the rest are only evaluated in the output pass
+        needed = {c.source for c in model.connections if not c.source_is_ensemble
+                  and (c.target_is_ensemble or c.alpha is not None)}
         for kind, src in self._error_refs.values():
             if kind == "node":
                 needed.add(src)
             elif not src.source_is_ensemble:
                 needed.add(src.source)
-        grew = True
-        while grew:
-            grew = False
-            for c in model.connections:
-                if (not c.source_is_ensemble and not c.target_is_ensemble
-                        and c.target in needed and c.source not in needed):
-                    needed.add(c.source)
-                    grew = True
+        for nid in reversed(model.node_order):  # targets before their sources
+            if nid in needed:
+                needed.update(c.source for c in self._inbound_conns[nid]
+                              if not c.source_is_ensemble)
         self._pre_nodes = [nid for nid in model.node_order
                            if nid in needed
                            and self._node_specs[nid].kind != gr.EXTERNAL_INPUT]
@@ -146,28 +142,22 @@ class Simulator:
                 self._neuron_state[e.id] = SpikingState(e.n)
             self._activity[e.id] = np.zeros(e.n)
         self._filters = {}
-        self._live_d = {}
-        self._live_w = {}
-        self._live_wq = {}
         for c in m.connections:
             if c.alpha is not None:
                 dim = c.decoders.shape[0] if c.learned else c.weights.shape[0]
                 self._filters[c.id] = np.zeros(dim)
-            if c.learned:
-                self._live_d[c.id] = c.decoders.copy()
-                self._live_w[c.id] = c.weights.copy()
-                if self.fixed:
-                    self._live_wq[c.id] = (
-                        c.quantized_weights.copy() if c.quantized_weights is not None
-                        else c.weights.copy()
-                    )
+        # decoders^T (k, n), C-contiguous so that dT @ a is one BLAS call
+        self._live_dT = {c.id: c.decoders.T.copy() for c in self._learned}
+        # weights derived from _live_dT; until the first PES update the
+        # compiled weights, which the build derived from the same decoders
+        self._learned_w = {}
         self._probe_filters = {}
         self._probe_rows = {p.id: ([], []) for p in m.probes}
         self._spikes = {e.id: np.zeros(e.n) for e in m.ensembles}
 
     def _weights(self, conn):
-        if conn.learned:
-            return self._live_wq[conn.id] if self.fixed else self._live_w[conn.id]
+        if conn.id in self._learned_w:
+            return self._learned_w[conn.id]
         if self.fixed and conn.quantized_weights is not None:
             return conn.quantized_weights
         return conn.weights
@@ -177,12 +167,21 @@ class Simulator:
         return self._activity[ens_id]
 
     def learned_decoders(self, conn_id):
-        """Live decoder matrix of a learned connection."""
-        return self._live_d[conn_id]
+        """Live decoder matrix (n, k) of a learned connection."""
+        return self._live_dT[conn_id].T
+
+    def _derive_weights(self, conn):
+        """Weights of a learned connection from its live decoders: folded
+        through fold_left, then quantized on the fixed backend."""
+        w = self._live_dT[conn.id]
+        if conn.fold_left is not None:
+            w = conn.fold_left @ w
+        return quantize_weights(w, self.model.qspec)[0] if self.fixed else w
 
     # -- stepping -----------------------------------------------------------
-    def _conn_output_pre(self, conn, node_values):
-        """Connection signal as seen at the start of the step."""
+    def _conn_output(self, conn, node_values):
+        """Connection signal from its filter state, or from its source's
+        current value when unfiltered."""
         if conn.alpha is not None:
             fs = self._filters[conn.id]
             return self._weights(conn) @ fs if conn.learned else fs
@@ -207,16 +206,12 @@ class Simulator:
             values[nid] = v
         return values
 
-    def _node_values(self, ext_values, pre, node_values_pre=None):
+    def _node_values(self, ext_values, node_ids):
         values = dict(ext_values)
-        for nid in (self._pre_nodes if pre else self._post_nodes):
+        for nid in node_ids:
             total = np.zeros(self._node_specs[nid].dimensions)
             for conn in self._inbound_conns[nid]:
-                if pre:
-                    out = self._conn_output_pre(conn, values)
-                else:
-                    out = self._conn_output_post(conn, values, node_values_pre)
-                total += out
+                total += self._conn_output(conn, values)
             if not math.isfinite(total.sum()):
                 raise NonFiniteSignalError(
                     f"non-finite signal into node {nid!r} "
@@ -225,15 +220,6 @@ class Simulator:
             values[nid] = total
         return values
 
-    def _conn_output_post(self, conn, node_values_post, node_values_pre):
-        if conn.alpha is not None:
-            fs = self._filters[conn.id]
-            return self._weights(conn) @ fs if conn.learned else fs
-        if conn.source_is_ensemble:
-            return self._weights(conn) @ self._activity[conn.source]
-        src = node_values_post if conn.source in node_values_post else node_values_pre
-        return self._weights(conn) @ src[conn.source]
-
     def step(self, inputs):
         """Advance one dt; returns {external-output id: vector}."""
         m = self.model
@@ -241,13 +227,13 @@ class Simulator:
 
         # (1) node values from external inputs and start-of-step signals
         ext = self._external_values(inputs)
-        node_pre = self._node_values(ext, pre=True)
+        node_pre = self._node_values(ext, self._pre_nodes)
 
         # (2) ensemble currents, then neuron updates
         for e in m.ensembles:
             drive = np.zeros(e.n)
             for conn in self._ens_inbound[e.id]:
-                drive += self._conn_output_pre(conn, node_pre)
+                drive += self._conn_output(conn, node_pre)
             if not math.isfinite(drive.sum()):
                 bad = [c.id for c in self._ens_inbound[e.id]]
                 raise NonFiniteSignalError(
@@ -283,31 +269,21 @@ class Simulator:
             fs += (1.0 - c.alpha) * x
 
         # (4) PES decoder updates
-        for c in m.connections:
-            if not c.learned:
-                continue
+        for c in self._learned:
             kind, src = self._error_refs[c.id]
-            u = node_pre[src] if kind == "node" else self._conn_output_pre(src, node_pre)
+            u = node_pre[src] if kind == "node" else self._conn_output(src, node_pre)
             a = self._filters[c.id] if c.alpha is not None else self._activity[c.source]
-            scale = -(c.learning_rate * dt / a.shape[0])
-            delta = (scale * a)[:, None] * u
-            d = self._live_d[c.id]
-            d += delta
-            if abs(d.flat[np.argmax(np.abs(d))]) > DIVERGENCE_LIMIT:
+            dT = self._live_dT[c.id]
+            dT += pes_delta(a, u, c.learning_rate, dt, a.shape[0]).T
+            if abs(dT.flat[np.argmax(np.abs(dT))]) > DIVERGENCE_LIMIT:
                 raise DivergedLearningError(
                     f"connection {c.id!r}: decoder magnitude exceeded "
                     f"{DIVERGENCE_LIMIT:g}"
                 )
-            w = self._live_w[c.id]
-            if self._fold_is_identity[c.id]:
-                w += delta.T
-            else:
-                w += c.fold_left @ delta.T
-            if self.fixed:
-                self._live_wq[c.id] = quantize_weights(w, m.qspec)[0]
+            self._learned_w[c.id] = self._derive_weights(c)
 
         # (5) outputs and probes from post-update state
-        node_post = self._node_values(ext, pre=False, node_values_pre=node_pre)
+        node_post = self._node_values(ext, self._post_nodes)
         self.step_index += 1
         self.t = self.step_index * dt
         self._record_probes(node_post)

@@ -325,22 +325,8 @@ class ModelGraph:
                         f"decoders shape {conn.decoders.shape} != ({n}, {k})")
 
         # Passthrough cycles cannot be evaluated in one step.
-        node_edges = {nid: set() for nid in self._nodes}
-        for conn in self.connections:
-            if conn.source in self._nodes and conn.target in self._nodes:
-                node_edges[conn.target].add(conn.source)
-        order, seen = [], set()
-        pending = dict(node_edges)
-        while pending:
-            ready = sorted(nid for nid, deps in pending.items() if deps <= seen)
-            if not ready:
-                for nid in sorted(pending):
-                    bad("CyclicNodes", nid, "node value depends on itself within a step")
-                break
-            for nid in ready:
-                seen.add(nid)
-                order.append(nid)
-                del pending[nid]
+        for nid in self._node_sort()[1]:
+            bad("CyclicNodes", nid, "node value depends on itself within a step")
 
         for probe in self.probes:
             tgt = probe.target
@@ -361,23 +347,30 @@ class ModelGraph:
             self._frozen = True
         return diags
 
-    def node_order(self):
-        """Ids of all nodes in a per-step evaluation order (within-step
-        node->node dependencies first, ties broken by id)."""
-        deps = {nid: set() for nid in self._nodes}
+    def _node_sort(self):
+        """Kahn's sort of the nodes over node->node connections, ties broken
+        by id: (evaluation order, sorted ids left on or behind a cycle)."""
+        pending = {nid: set() for nid in self._nodes}
         for conn in self.connections:
             if conn.source in self._nodes and conn.target in self._nodes:
-                deps[conn.target].add(conn.source)
+                pending[conn.target].add(conn.source)
         order, seen = [], set()
-        pending = dict(deps)
         while pending:
-            ready = sorted(nid for nid, d in pending.items() if d <= seen)
+            ready = sorted(nid for nid, deps in pending.items() if deps <= seen)
             if not ready:
-                raise ValueError("cyclic node dependencies")
+                break
             for nid in ready:
                 seen.add(nid)
                 order.append(nid)
                 del pending[nid]
+        return order, sorted(pending)
+
+    def node_order(self):
+        """Ids of all nodes in a per-step evaluation order (within-step
+        node->node dependencies first, ties broken by id)."""
+        order, cyclic = self._node_sort()
+        if cyclic:
+            raise ValueError("cyclic node dependencies")
         return order
 
     # -- canonical form ----------------------------------------------------

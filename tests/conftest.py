@@ -17,9 +17,10 @@ def channel_graph(n_neurons=500, seed=42, synapse=0.01, neuron_model="lif"):
 
 
 def learning_graph(n_neurons=200, dims=2, kappa=1e-2, seed=3, tau_out=0.01,
-                   tau_fb=0.005):
-    """Ensemble with a zero-initialized learned readout; the error node
-    computes (decoded - target) from a fed-back copy of the output."""
+                   tau_fb=0.005, transform=None):
+    """Ensemble with a zero-initialized learned readout (through `transform`,
+    identity by default); the error node computes (decoded - target) from a
+    fed-back copy of the output."""
     g = gr.ModelGraph(dt=0.001)
     g.register_function("zero_out", lambda v: np.zeros(dims))
     g.add_node(gr.NodeSpec("stim", dims, gr.EXTERNAL_INPUT))
@@ -31,7 +32,8 @@ def learning_graph(n_neurons=200, dims=2, kappa=1e-2, seed=3, tau_out=0.01,
                                neuron_model="lif", seed=seed))
     g.connect(gr.ConnectionSpec("c_in", "stim", "ens", synapse=None))
     g.connect(gr.ConnectionSpec("c_learn", "ens", "decoded",
-                                function_tag="zero_out", transform=np.eye(dims),
+                                function_tag="zero_out",
+                                transform=np.eye(dims) if transform is None else transform,
                                 synapse=tau_out,
                                 learning=gr.PESConfig(kappa, "err")))
     g.connect(gr.ConnectionSpec("c_out", "decoded", "out", synapse=None))

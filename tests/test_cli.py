@@ -34,6 +34,12 @@ tune_settle = 0.2
 tune_window = 0.5
 """
 
+FAST_SOLVE = """
+[neurons]
+solve_n_neurons = 60
+solve_points = 31
+"""
+
 FAST_BENCH = """
 [rover]
 bench_preset_small = 32
@@ -79,7 +85,7 @@ class TestOutputs:
         assert (out / "effective_config.txt").exists()
 
     def test_solve_outputs(self, tmp_path):
-        cfg = write_cfg(tmp_path, "[neurons]\nsolve_n_neurons = 60\nsolve_points = 31\n")
+        cfg = write_cfg(tmp_path, FAST_SOLVE)
         out = tmp_path / "out"
         assert run(["solve", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
         lines = (out / "solve.csv").read_text().splitlines()
@@ -116,6 +122,15 @@ class TestOutputs:
         assert lines[0] == "session,trial,controller,error_raw,error_pct"
         # sessions x reaches x {pd_noload, pd_load, pid, adaptive_ref, adaptive_fixed}
         assert len(lines) == 1 + 2 * 2 * 5
+
+    def test_arm_divergence_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "[arm]\nkappa = 1e9\nn_neurons = 100\n"
+                        "n_reaches = 3\nn_sessions = 1\nreach_duration = 0.5\n")
+        out = tmp_path / "out"
+        assert run(["arm", "--config", cfg, "--seed", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "controller adaptive_reference, session 0, trial 0" in err
+        assert not (out / "arm_trials.csv").exists()
 
     def test_bench_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_BENCH)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nefsim import graph as gr
-from nefsim.build import FIXED_POINT, compile_graph
+from nefsim.build import FIXED_POINT, REFERENCE, compile_graph
 from nefsim.engine import Simulator, adapt_signal, pes_delta, pes_update
 from nefsim.errors import DivergedLearningError, NonFiniteSignalError
 from nefsim.neurons import lif_rate
@@ -109,6 +109,21 @@ class TestStep:
 
         assert run_once() == run_once()
 
+    def test_filtered_chain_through_passthrough_node(self):
+        # the filter of mid -> out is fed from mid's start-of-step value,
+        # although nothing else reads mid before the output pass
+        g = gr.ModelGraph()
+        g.add_node(gr.NodeSpec("in", 1, gr.EXTERNAL_INPUT))
+        g.add_node(gr.NodeSpec("mid", 1, gr.PASSTHROUGH))
+        g.add_node(gr.NodeSpec("out", 1, gr.EXTERNAL_OUTPUT))
+        g.add_ensemble(gr.Ensemble("ens", n_neurons=300, dimensions=1, seed=5))
+        g.connect(gr.ConnectionSpec("c_in", "in", "ens"))
+        g.connect(gr.ConnectionSpec("c_mid", "ens", "mid", synapse=0.01))
+        g.connect(gr.ConnectionSpec("c_out", "mid", "out", synapse=0.01))
+        sim = Simulator(compile_graph(g, seed=0))
+        vals = [sim.step({"in": (0.5,)})["out"][0] for _ in range(600)]
+        assert abs(np.mean(vals[300:]) - 0.5) < 0.05
+
     def test_reset_restores_initial_state(self):
         sim = Simulator(compile_graph(learning_graph(n_neurons=40), seed=0))
         inputs = {"stim": (0.3, 0.1), "target": (0.5, -0.5)}
@@ -165,8 +180,15 @@ class TestFilters:
 
 
 class TestLearning:
-    def test_closed_loop_convergence(self):
-        sim = Simulator(compile_graph(learning_graph(), seed=0))
+    @pytest.mark.parametrize("backend", [REFERENCE, FIXED_POINT])
+    @pytest.mark.parametrize("transform", [
+        np.eye(2),
+        # eigenvalues 0.95 +- 0.24j: positive real parts, so PES still descends
+        np.array([[1.0, 0.3], [-0.2, 0.9]]),
+    ], ids=["eye", "mixed"])
+    def test_closed_loop_convergence(self, transform, backend):
+        g = learning_graph(transform=transform)
+        sim = Simulator(compile_graph(g, backend=backend, seed=0))
         target = np.array([0.3, -0.2])
         inputs = {"stim": (0.4, 0.1), "target": target}
         errs = [np.linalg.norm(sim.step(inputs)["out"] - target)
