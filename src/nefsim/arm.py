@@ -16,7 +16,7 @@ matrix and its Coriolis derivatives in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,12 @@ from . import graph as gr
 from .build import FIXED_POINT, REFERENCE, compile_graph
 from .engine import Simulator
 from .errors import DivergedLearningError, NonFiniteStateError
+from .neurons import DEFAULT_DT
 from .seeding import stream
+
+LENGTHS = (0.3, 0.3, 0.2)  # m
+MASSES = (1.0, 0.8, 0.6)   # kg
+GRAVITY = 9.81             # m/s^2
 
 
 class ArmModel:
@@ -34,8 +39,7 @@ class ArmModel:
     values m*l^2/12 about the COM.  Gravity acts along -y of the plane.
     """
 
-    def __init__(self, lengths=(0.3, 0.3, 0.2), masses=(1.0, 0.8, 0.6),
-                 inertias=None, gravity=9.81,
+    def __init__(self, lengths=LENGTHS, masses=MASSES, inertias=None, gravity=GRAVITY,
                  joint_limits=((-math.pi, math.pi),) * 3, payload_mass=0.0):
         if any(l <= 0 for l in lengths) or any(m <= 0 for m in masses):
             raise ValueError("lengths and masses must be > 0")
@@ -390,13 +394,21 @@ CONTROLLERS = (PD_NOLOAD, PD_LOAD, PID, ADAPTIVE_REFERENCE, ADAPTIVE_FIXED)
 
 @dataclass
 class ReachTask:
+    """The reach protocol; each field is an `[arm]` config key (see ArmConfig)."""
     # elbow-down start with the hand at (0.57, 0.42); the reach sweeps down
     # and to the right, staying clear of fold singularities under load
-    start_q: tuple = (1.2, -0.7, -0.5)  # rad
-    target: tuple = (0.55, 0.15)        # m, task space
-    duration: float = 4.0               # s per reach
-    n_reaches: int = 50
-    n_sessions: int = 5
+    start_q: tuple = field(default=(1.2, -0.7, -0.5), metadata=dict(
+        unit="rad", keys={"start_q1": "reach start joint 1",
+                          "start_q2": "reach start joint 2",
+                          "start_q3": "reach start joint 3"}))
+    target: tuple = field(default=(0.55, 0.15), metadata=dict(
+        unit="m", keys={"target_x": "reach target x", "target_y": "reach target y"}))
+    duration: float = field(default=4.0, metadata=dict(
+        key="reach_duration", unit="s", help="time per reach"))
+    n_reaches: int = field(default=50, metadata=dict(help="reaches per session"))
+    n_sessions: int = field(default=5, metadata=dict(help="sessions per controller"))
+    traj_sample_every: float = field(default=0.01, metadata=dict(
+        unit="s", help="trajectory sampling period"))
 
 
 @dataclass
@@ -410,41 +422,72 @@ class TrialRecord:
 
 @dataclass
 class ArmConfig:
-    """Everything the reach protocol needs beyond the task definition."""
-    payload_mass: float = 1.0
-    kp: float = 30.0
-    kv: float = 2.0 * math.sqrt(30.0)
-    ki: float = 5.0
-    windup: float = 10.0
-    sigma_min: float = 1e-3
-    null_kp: float = 25.0          # null-space posture stiffness (toward start pose)
-    null_kv: float = 10.0          # null-space damping
-    path_tau: float = 0.3          # s, critically damped target filter
-    vel_bound: float = 2.0         # rad/s feedback normalization
-    dt: float = 0.001
-    n_neurons: int = 1000
+    """Everything the reach protocol needs beyond the task definition.
+
+    Fields with metadata are `[arm]` config keys: "unit" and "help" document
+    the key, "key" names it when it differs from the field, and "keys" names
+    the flat key of each element of a tuple field."""
+    payload_mass: float = field(default=1.0, metadata=dict(
+        unit="kg", help="unmodeled end-effector payload"))
+    kp: float = field(default=30.0, metadata=dict(
+        unit="1/s^2", help="task-space proportional gain"))
+    kv: float = field(default=2.0 * math.sqrt(30.0), metadata=dict(
+        unit="1/s", help="task-space derivative gain"))
+    ki: float = field(default=5.0, metadata=dict(
+        unit="1/s^3", help="task-space integral gain (PID)"))
+    windup: float = field(default=10.0, metadata=dict(
+        unit="m/s^2", help="integral command clamp"))
+    sigma_min: float = field(default=1e-3, metadata=dict(
+        help="task-inertia singular-value cutoff"))
+    # posture stiffness and damping pull toward the start pose
+    null_kp: float = field(default=25.0, metadata=dict(
+        unit="1/s^2", help="null-space posture stiffness"))
+    null_kv: float = field(default=10.0, metadata=dict(
+        unit="1/s", help="null-space damping"))
+    # critically damped target filter
+    path_tau: float = field(default=0.3, metadata=dict(
+        unit="s", help="reach reference filter time constant"))
+    vel_bound: float = field(default=2.0, metadata=dict(
+        unit="rad/s", help="velocity normalization bound"))
+    dt: float = DEFAULT_DT
+    n_neurons: int = field(default=1000, metadata=dict(help="adaptive ensemble size"))
     # PES master rate; the decoded torque integrates the corrective signal
     # with a ~1 s time constant, converging over a few reaches
-    kappa: float = 1e-4
-    tau_input: float = 0.01        # s, context connection filter
-    tau_learn: float = 0.01        # s, learned-connection activity filter
-    max_rate_range: tuple = (175.0, 220.0)
+    kappa: float = field(default=1e-4, metadata=dict(help="PES master learning rate"))
+    tau_input: float = field(default=0.01, metadata=dict(
+        unit="s", help="context connection filter"))
+    tau_learn: float = field(default=0.01, metadata=dict(
+        unit="s", help="learned-connection activity filter"))
+    max_rate_range: tuple = field(default=(175.0, 220.0), metadata=dict(
+        unit="Hz", keys={"max_rate_lo": "adaptive ensemble max-rate low",
+                         "max_rate_hi": "adaptive ensemble max-rate high"}))
     intercept_range: tuple = (-1.0, 1.0)
-    u_adapt_limit: float = 30.0    # N*m, empirical boundedness ceiling
-    lengths: tuple = (0.3, 0.3, 0.2)
-    masses: tuple = (1.0, 0.8, 0.6)
-    gravity: float = 9.81
-    # elbow/wrist stop short of +-pi so loads cannot fold a link through its
-    # counterpart (a physical-arm constraint the plant clamp emulates)
-    joint_limits: tuple = ((-math.pi, math.pi), (-2.6, 2.6), (-2.6, 2.6))
+    # empirical boundedness ceiling
+    u_adapt_limit: float = field(default=30.0, metadata=dict(
+        unit="N*m", help="adaptive torque boundedness ceiling"))
+    lengths: tuple = field(default=LENGTHS, metadata=dict(
+        unit="m", keys={"l1": "link 1 length", "l2": "link 2 length",
+                        "l3": "link 3 length"}))
+    masses: tuple = field(default=MASSES, metadata=dict(
+        unit="kg", keys={"m1": "link 1 mass", "m2": "link 2 mass",
+                         "m3": "link 3 mass"}))
+    gravity: float = field(default=GRAVITY, metadata=dict(
+        unit="m/s^2", help="gravity along -y"))
+    # Symmetric clamp magnitude per joint.  Elbow and wrist stop short of
+    # +-pi so loads cannot fold a link through its counterpart (a
+    # physical-arm constraint the plant clamp emulates).
+    joint_limits: tuple = field(default=(math.pi, 2.6, 2.6), metadata=dict(
+        unit="rad", keys={"limit_q1": "joint 1 clamp, symmetric",
+                          "limit_q2": "joint 2 clamp, symmetric",
+                          "limit_q3": "joint 3 clamp, symmetric"}))
 
     def nominal_model(self):
-        return ArmModel(self.lengths, self.masses, gravity=self.gravity,
-                        joint_limits=self.joint_limits)
+        return self.plant_model(0.0)
 
     def plant_model(self, payload):
         return ArmModel(self.lengths, self.masses, gravity=self.gravity,
-                        joint_limits=self.joint_limits, payload_mass=payload)
+                        joint_limits=tuple((-a, a) for a in self.joint_limits),
+                        payload_mass=payload)
 
 
 def build_adaptive_net(cfg: ArmConfig, seed=None):
@@ -497,8 +540,10 @@ class SessionResult:
 
 
 def _run_session(cfg: ArmConfig, task: ReachTask, controller, session,
-                 sim=None, trajectory=None, traj_every=10):
-    """50 reaches with one controller; decoders (if any) persist throughout.
+                 sim=None, trajectory=None):
+    """task.n_reaches reaches with one controller; decoders (if any) persist
+    throughout.  With `trajectory` given, a sample is appended every
+    task.traj_sample_every seconds (at least every step).
 
     PES divergence raises DivergedLearningError naming the controller,
     session, trial and time within the reach."""
@@ -506,6 +551,7 @@ def _run_session(cfg: ArmConfig, task: ReachTask, controller, session,
     payload = 0.0 if controller == PD_NOLOAD else cfg.payload_mass
     plant = cfg.plant_model(payload)
     n_steps = int(round(task.duration / cfg.dt))
+    traj_every = max(1, int(round(task.traj_sample_every / cfg.dt)))
     target = (float(task.target[0]), float(task.target[1]))
     limits = nominal.joint_limits
     records = []

@@ -82,24 +82,8 @@ def _echo_config(cfg, out_dir):
         fh.write(cfg.render_effective())
 
 
-def _neuron_params(cfg):
-    return NeuronParams(
-        tau_rc=cfg.get("neurons", "tau_rc"),
-        tau_ref=cfg.get("neurons", "tau_ref"),
-        amplitude=cfg.get("neurons", "amplitude"),
-    )
-
-
-def _qspec(cfg):
-    return QuantizationSpec(
-        weight_mantissa_bits=cfg.get("neurons", "weight_mantissa_bits"),
-        state_bits=cfg.get("neurons", "state_bits"),
-        dt=cfg.get(GLOBAL, "dt"),
-    )
-
-
 def run_tune(cfg, seed, out_dir):
-    params = _neuron_params(cfg)
+    params = cfg.make(NeuronParams)
     model = LIF if cfg.get("neurons", "tune_model") == "lif" else SPIKING_RELU
     J = np.linspace(cfg.get("neurons", "tune_j_min"),
                     cfg.get("neurons", "tune_j_max"),
@@ -107,7 +91,7 @@ def run_tune(cfg, seed, out_dir):
     dt = cfg.get(GLOBAL, "dt")
     rate_float = rate(model, J, params)
     rate_q = measured_rate_curve(
-        J, dt, params, model, qspec=_qspec(cfg),
+        J, dt, params, model, qspec=cfg.make(QuantizationSpec),
         settle=cfg.get("neurons", "tune_settle"),
         window=cfg.get("neurons", "tune_window"))
     write_csv(os.path.join(out_dir, "tune.csv"),
@@ -122,12 +106,9 @@ _SOLVE_FUNCTIONS = {
 
 
 def run_solve(cfg, seed, out_dir):
-    fn_name = cfg.get("neurons", "solve_function")
-    if fn_name not in _SOLVE_FUNCTIONS:
-        raise BuildError(f"unknown solve_function {fn_name!r}")
-    fn = _SOLVE_FUNCTIONS[fn_name]
+    fn = _SOLVE_FUNCTIONS[cfg.get("neurons", "solve_function")]
     n = cfg.get("neurons", "solve_n_neurons")
-    graph = ModelGraph(dt=cfg.get(GLOBAL, "dt"), neuron_params=_neuron_params(cfg))
+    graph = ModelGraph(dt=cfg.get(GLOBAL, "dt"), neuron_params=cfg.make(NeuronParams))
     graph.add_ensemble(Ensemble("ens", n_neurons=n, dimensions=1,
                                 neuron_model=RATE_LIF, seed=seed))
     model = compile_graph(graph, seed=seed)
@@ -151,17 +132,9 @@ def run_convert(cfg, seed, out_dir):
     else:
         sizes = tuple(int(tok) for tok in cfg.get("convert", "layers").split())
         net = conv_mod.random_dense_net(sizes, stream(seed, "convert", "net"))
-    tau_inter = cfg.get("convert", "inter_layer_tau")
     flavor = (conv_mod.SPIKING_QUANTIZED
               if cfg.get(GLOBAL, "backend") == FIXED_POINT else conv_mod.SPIKING)
-    ccfg = conv_mod.ConversionConfig(
-        scale_firing_rates=cfg.get("convert", "scale_firing_rates"),
-        output_tau=cfg.get("convert", "output_tau"),
-        inter_layer_tau=tau_inter if tau_inter > 0 else None,
-        flavor=flavor,
-        presentation_time=cfg.get("convert", "presentation_time"),
-        dt=cfg.get(GLOBAL, "dt"),
-    )
+    ccfg = cfg.make(conv_mod.ConversionConfig, flavor=flavor)
     rng = stream(seed, "convert", "inputs")
     scale = cfg.get("convert", "input_scale")
     inputs = scale * rng.uniform(-1.0, 1.0, (cfg.get("convert", "n_inputs"),
@@ -176,47 +149,11 @@ def run_convert(cfg, seed, out_dir):
               ["input_idx", "dim", "rate_out", "spike_out", "abs_err"], rows)
 
 
-def _arm_config(cfg):
-    limits = tuple((-cfg.get("arm", k), cfg.get("arm", k))
-                   for k in ("limit_q1", "limit_q2", "limit_q3"))
-    return arm_mod.ArmConfig(
-        payload_mass=cfg.get("arm", "payload_mass"),
-        kp=cfg.get("arm", "kp"), kv=cfg.get("arm", "kv"),
-        ki=cfg.get("arm", "ki"), windup=cfg.get("arm", "windup"),
-        null_kp=cfg.get("arm", "null_kp"), null_kv=cfg.get("arm", "null_kv"),
-        joint_limits=limits,
-        sigma_min=cfg.get("arm", "sigma_min"),
-        path_tau=cfg.get("arm", "path_tau"),
-        vel_bound=cfg.get("arm", "vel_bound"),
-        dt=cfg.get(GLOBAL, "dt"),
-        n_neurons=cfg.get("arm", "n_neurons"),
-        kappa=cfg.get("arm", "kappa"),
-        tau_input=cfg.get("arm", "tau_input"),
-        tau_learn=cfg.get("arm", "tau_learn"),
-        max_rate_range=(cfg.get("arm", "max_rate_lo"), cfg.get("arm", "max_rate_hi")),
-        u_adapt_limit=cfg.get("arm", "u_adapt_limit"),
-        lengths=(cfg.get("arm", "l1"), cfg.get("arm", "l2"), cfg.get("arm", "l3")),
-        masses=(cfg.get("arm", "m1"), cfg.get("arm", "m2"), cfg.get("arm", "m3")),
-        gravity=cfg.get("arm", "gravity"),
-    )
-
-
-def _arm_task(cfg):
-    return arm_mod.ReachTask(
-        start_q=(cfg.get("arm", "start_q1"), cfg.get("arm", "start_q2"),
-                 cfg.get("arm", "start_q3")),
-        target=(cfg.get("arm", "target_x"), cfg.get("arm", "target_y")),
-        duration=cfg.get("arm", "reach_duration"),
-        n_reaches=cfg.get("arm", "n_reaches"),
-        n_sessions=cfg.get("arm", "n_sessions"),
-    )
-
-
 def run_arm(cfg, seed, out_dir):
-    acfg = _arm_config(cfg)
-    task = _arm_task(cfg)
     trajectory = [] if cfg.get("arm", "emit_trajectory") else None
-    records, _ = arm_mod.run_arm_protocol(acfg, task, seed, trajectory=trajectory)
+    records, _ = arm_mod.run_arm_protocol(cfg.make(arm_mod.ArmConfig),
+                                          cfg.make(arm_mod.ReachTask), seed,
+                                          trajectory=trajectory)
     write_csv(os.path.join(out_dir, "arm_trials.csv"),
               ["session", "trial", "controller", "error_raw", "error_pct"],
               [(str(r.session), str(r.trial), r.controller,
@@ -228,45 +165,12 @@ def run_arm(cfg, seed, out_dir):
                   trajectory)
 
 
-def _rover_net_config(cfg, n_neurons=None):
-    return rover_mod.RoverNetConfig(
-        n_neurons=n_neurons if n_neurons is not None else cfg.get("rover", "n_neurons"),
-        radius=cfg.get("rover", "radius"),
-        k_a=cfg.get("rover", "k_a"), k_p=cfg.get("rover", "k_p"),
-        input_tau=cfg.get("rover", "input_tau"),
-        steer_input_tau=cfg.get("rover", "steer_input_tau"),
-        output_tau=cfg.get("rover", "output_tau"),
-        max_rate_range=(cfg.get("rover", "max_rate_lo"), cfg.get("rover", "max_rate_hi")),
-        exclusion=cfg.get("rover", "exclusion"),
-        dt=cfg.get(GLOBAL, "dt"),
-        max_steer=cfg.get("rover", "max_steer"),
-    )
-
-
-def _rover_params(cfg):
-    return rover_mod.RoverParams(
-        wheelbase=cfg.get("rover", "wheelbase"),
-        accel_gain=cfg.get("rover", "accel_gain"),
-        drag=cfg.get("rover", "drag"),
-        steer_gain=cfg.get("rover", "steer_gain"),
-        max_steer=cfg.get("rover", "max_steer"),
-    )
-
-
 def run_rover(cfg, seed, out_dir):
-    task = rover_mod.RoverTaskConfig(
-        n_targets=cfg.get("rover", "n_targets"),
-        duration_cap=cfg.get("rover", "duration_cap"),
-        capture_radius=cfg.get("rover", "capture_radius"),
-        spawn_radius=cfg.get("rover", "spawn_radius"),
-        noise_sigma=cfg.get("rover", "noise_sigma"),
-        traj_sample_every=cfg.get("rover", "traj_sample_every"),
-    )
     run = rover_mod.run_rover_task(
-        task, _rover_net_config(cfg), seed,
+        cfg.make(rover_mod.RoverTaskConfig), cfg.make(rover_mod.RoverNetConfig), seed,
         backend=cfg.get(GLOBAL, "backend"),
         controller=cfg.get("rover", "controller"),
-        params=_rover_params(cfg),
+        params=cfg.make(rover_mod.RoverParams),
     )
     write_csv(os.path.join(out_dir, "rover_traj.csv"),
               ["t", "x", "y", "theta", "q", "v",
@@ -291,7 +195,7 @@ def run_bench(cfg, seed, out_dir):
     rows, timing_lines = [], []
     for n_neurons in presets:
         for backend in (REFERENCE, FIXED_POINT):
-            net_cfg = _rover_net_config(cfg, n_neurons=n_neurons)
+            net_cfg = cfg.make(rover_mod.RoverNetConfig, n_neurons=n_neurons)
             t0 = time.perf_counter()
             sim = Simulator(rover_mod.compile_rover_net(net_cfg, backend, seed=seed))
             build_s = time.perf_counter() - t0

@@ -2,18 +2,24 @@
 
 Format: `[section]` headers, `key = value` pairs, `#` comments.  Every key
 has a typed schema entry with a default; unknown keys are errors (no silent
-typos), as are duplicates and type mismatches.  The effective configuration
-(defaults merged with overrides) is echoed to `effective_config.txt` next to
-the experiment outputs, so any run is reproducible from (subcommand, config,
-seed).
+typos), as are duplicates, type mismatches and values outside an enumerated
+key's choices.  Keys that configure a dataclass are derived from its fields,
+which hold the default, unit and help text, so each default is written once.
+The effective configuration (defaults merged with overrides) is echoed to
+`effective_config.txt` next to the experiment outputs, so any run is
+reproducible from (subcommand, config, seed).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
+from .arm import ArmConfig, ReachTask
+from .build import BACKENDS, DEFAULT_REG, EVAL_POINTS_MIN, EVAL_POINTS_PER_NEURON
+from .convert import ConversionConfig
 from .errors import ConfigTypeError, DuplicateKeyError, UnknownKeyError
+from .neurons import DEFAULT_DT, NeuronParams, QuantizationSpec
+from .rover import RoverNetConfig, RoverParams, RoverTaskConfig
 
 GLOBAL = "global"
 
@@ -24,105 +30,76 @@ class Key:
     default: object
     unit: str = ""
     help: str = ""
+    choices: tuple = ()  # allowed values; empty = any value of the type
+
+
+def _enum(choices, label=""):
+    """A string key restricted to `choices`; the first is the default."""
+    return Key(str, choices[0], "", label + " | ".join(choices), choices)
+
+
+# A section's keys are the fields of its dataclasses that carry "help" or
+# "keys" metadata, plus the literal keys in SCHEMA.  Fields named `dt` read
+# [global] dt.
+DATACLASSES = {
+    "neurons": (NeuronParams, QuantizationSpec),
+    "arm": (ArmConfig, ReachTask),
+    "rover": (RoverNetConfig, RoverParams, RoverTaskConfig),
+    "convert": (ConversionConfig,),
+}
+
+
+def _field_keys(classes):
+    keys = {}
+    for cls in classes:
+        for f in fields(cls):
+            meta = f.metadata
+            if "keys" in meta:
+                for (key, text), default in zip(meta["keys"].items(), f.default):
+                    keys[key] = Key(type(default), default, meta["unit"], text)
+            elif "help" in meta:
+                keys[meta.get("key", f.name)] = Key(
+                    type(f.default), f.default, meta.get("unit", ""), meta["help"])
+    return keys
 
 
 SCHEMA = {
     GLOBAL: {
-        "dt": Key(float, 0.001, "s", "simulation timestep"),
+        "dt": Key(float, DEFAULT_DT, "s", "simulation timestep"),
         "seed": Key(int, 0, "", "master seed; per-component streams derive from it"),
-        "backend": Key(str, "reference", "", "reference | fixed"),
+        "backend": _enum(BACKENDS),
         "out_dir": Key(str, "out", "", "output directory (CLI --out overrides)"),
     },
     "neurons": {
-        "tau_rc": Key(float, 0.02, "s", "LIF membrane time constant"),
-        "tau_ref": Key(float, 0.002, "s", "LIF refractory period"),
-        "amplitude": Key(float, 1.0, "", "rectified-linear output scale"),
-        "weight_mantissa_bits": Key(int, 8, "bits", "fixed-point weight mantissa"),
-        "state_bits": Key(int, 23, "bits", "fixed-point neuron state width"),
-        "reg": Key(float, 0.1, "", "decoder regularization, fraction of max rate"),
-        "eval_points_min": Key(int, 500, "", "decoder eval-point floor"),
-        "eval_points_per_neuron": Key(int, 2, "", "decoder eval points per neuron"),
-        "tune_model": Key(str, "lif", "", "tune sweep model: lif | relu"),
+        **_field_keys(DATACLASSES["neurons"]),
+        "reg": Key(float, DEFAULT_REG, "", "decoder regularization, fraction of max rate"),
+        "eval_points_min": Key(int, EVAL_POINTS_MIN, "", "decoder eval-point floor"),
+        "eval_points_per_neuron": Key(int, EVAL_POINTS_PER_NEURON, "",
+                                      "decoder eval points per neuron"),
+        "tune_model": _enum(("lif", "relu"), "tune sweep model: "),
         "tune_j_min": Key(float, 0.0, "", "tune sweep lowest input current"),
         "tune_j_max": Key(float, 10.0, "", "tune sweep highest input current"),
         "tune_points": Key(int, 201, "", "tune sweep point count"),
         "tune_settle": Key(float, 0.5, "s", "tune sweep settling time per point"),
         "tune_window": Key(float, 2.0, "s", "tune sweep measurement window"),
-        "solve_function": Key(str, "identity", "", "solve target: identity | square"),
+        "solve_function": _enum(("identity", "square"), "solve target: "),
         "solve_n_neurons": Key(int, 100, "", "solve ensemble size"),
         "solve_points": Key(int, 101, "", "solve output grid size on [-1, 1]"),
     },
     "arm": {
-        "payload_mass": Key(float, 1.0, "kg", "unmodeled end-effector payload"),
-        "l1": Key(float, 0.3, "m", "link 1 length"),
-        "l2": Key(float, 0.3, "m", "link 2 length"),
-        "l3": Key(float, 0.2, "m", "link 3 length"),
-        "m1": Key(float, 1.0, "kg", "link 1 mass"),
-        "m2": Key(float, 0.8, "kg", "link 2 mass"),
-        "m3": Key(float, 0.6, "kg", "link 3 mass"),
-        "gravity": Key(float, 9.81, "m/s^2", "gravity along -y"),
-        "kp": Key(float, 30.0, "1/s^2", "task-space proportional gain"),
-        "kv": Key(float, 2.0 * math.sqrt(30.0), "1/s", "task-space derivative gain"),
-        "ki": Key(float, 5.0, "1/s^3", "task-space integral gain (PID)"),
-        "windup": Key(float, 10.0, "m/s^2", "integral command clamp"),
-        "null_kp": Key(float, 25.0, "1/s^2", "null-space posture stiffness"),
-        "null_kv": Key(float, 10.0, "1/s", "null-space damping"),
-        "sigma_min": Key(float, 1e-3, "", "task-inertia singular-value cutoff"),
-        "path_tau": Key(float, 0.3, "s", "reach reference filter time constant"),
-        "vel_bound": Key(float, 2.0, "rad/s", "velocity normalization bound"),
-        "kappa": Key(float, 1e-4, "", "PES master learning rate"),
-        "n_neurons": Key(int, 1000, "", "adaptive ensemble size"),
-        "tau_input": Key(float, 0.01, "s", "context connection filter"),
-        "tau_learn": Key(float, 0.01, "s", "learned-connection activity filter"),
-        "max_rate_lo": Key(float, 175.0, "Hz", "adaptive ensemble max-rate low"),
-        "max_rate_hi": Key(float, 220.0, "Hz", "adaptive ensemble max-rate high"),
-        "u_adapt_limit": Key(float, 30.0, "N*m", "adaptive torque boundedness ceiling"),
-        "limit_q1": Key(float, math.pi, "rad", "joint 1 clamp, symmetric"),
-        "limit_q2": Key(float, 2.6, "rad", "joint 2 clamp, symmetric"),
-        "limit_q3": Key(float, 2.6, "rad", "joint 3 clamp, symmetric"),
-        "start_q1": Key(float, 1.2, "rad", "reach start joint 1"),
-        "start_q2": Key(float, -0.7, "rad", "reach start joint 2"),
-        "start_q3": Key(float, -0.5, "rad", "reach start joint 3"),
-        "target_x": Key(float, 0.55, "m", "reach target x"),
-        "target_y": Key(float, 0.15, "m", "reach target y"),
-        "reach_duration": Key(float, 4.0, "s", "time per reach"),
-        "n_reaches": Key(int, 50, "", "reaches per session"),
-        "n_sessions": Key(int, 5, "", "sessions per controller"),
+        **_field_keys(DATACLASSES["arm"]),
         "emit_trajectory": Key(bool, False, "", "also write arm_traj.csv"),
-        "traj_sample_every": Key(float, 0.01, "s", "trajectory sampling period"),
     },
     "rover": {
-        "n_neurons": Key(int, 512, "", "neurons per control ensemble (4096 = full scale)"),
-        "n_targets": Key(int, 6, "", "targets per run"),
-        "duration_cap": Key(float, 30.0, "s", "time allowed per target"),
-        "radius": Key(float, 3.5, "m", "representational radius of target coords"),
-        "k_a": Key(float, 1.0, "", "drive gain"),
-        "k_p": Key(float, 1.5, "", "steering proportional gain"),
-        "input_tau": Key(float, 0.05, "s", "target-position input filter"),
-        "steer_input_tau": Key(float, 0.005, "s", "steering-angle input filter"),
-        "output_tau": Key(float, 0.02, "s", "decoded command filter"),
-        "max_rate_lo": Key(float, 175.0, "Hz", "ensemble max-rate low"),
-        "max_rate_hi": Key(float, 220.0, "Hz", "ensemble max-rate high"),
-        "noise_sigma": Key(float, 0.05, "m", "target estimate noise, per axis"),
-        "capture_radius": Key(float, 0.5, "m", "capture distance"),
-        "spawn_radius": Key(float, 3.0, "m", "targets spawn within this disk"),
-        "exclusion": Key(float, 0.1, "m", "eval points avoid the origin"),
-        "wheelbase": Key(float, 0.3, "m", "bicycle wheelbase"),
-        "accel_gain": Key(float, 2.0, "", "plant drive response"),
-        "drag": Key(float, 0.5, "1/s", "plant speed drag"),
-        "steer_gain": Key(float, 4.0, "", "plant steering-rate response"),
-        "max_steer": Key(float, 0.6, "rad", "steering clamp"),
-        "controller": Key(str, "neural", "", "neural | analytic"),
-        "traj_sample_every": Key(float, 0.01, "s", "trajectory sampling period"),
-        "bench_preset_small": Key(int, 512, "", "bench neuron-count preset"),
+        **_field_keys(DATACLASSES["rover"]),
+        "controller": _enum(("neural", "analytic")),
+        "bench_preset_small": Key(int, RoverNetConfig.n_neurons, "",
+                                  "bench neuron-count preset"),
         "bench_preset_large": Key(int, 4096, "", "bench neuron-count preset"),
         "bench_duration": Key(float, 0.5, "s", "simulated time per bench run"),
     },
     "convert": {
-        "scale_firing_rates": Key(float, 400.0, "", "conversion firing-rate scale"),
-        "output_tau": Key(float, 0.01, "s", "output low-pass"),
-        "inter_layer_tau": Key(float, 0.0, "s", "between spiking layers; 0 = none"),
-        "presentation_time": Key(float, 0.5, "s", "time per input"),
+        **_field_keys(DATACLASSES["convert"]),
         "n_inputs": Key(int, 50, "", "fidelity batch size"),
         "net_file": Key(str, "", "", "net description file; empty = random net"),
         "layers": Key(str, "8 16 2", "", "random net layer sizes"),
@@ -144,6 +121,23 @@ class RunConfig:
         if key in self._values[section]:
             return self._values[section][key]
         return SCHEMA[section][key].default
+
+    def make(self, cls, **given):
+        """An instance of dataclass `cls` (one of DATACLASSES) with every
+        keyed field read from its section, `dt` from [global], and the
+        fields in `given` as passed."""
+        section = next(s for s, classes in DATACLASSES.items() if cls in classes)
+        values = {}
+        for f in fields(cls):
+            if f.name in given:
+                continue
+            if f.name == "dt":
+                values["dt"] = self.get(GLOBAL, "dt")
+            elif "keys" in f.metadata:
+                values[f.name] = tuple(self.get(section, k) for k in f.metadata["keys"])
+            elif f.metadata:
+                values[f.name] = self.get(section, f.metadata.get("key", f.name))
+        return cls(**values, **given)
 
     def set(self, section, key, value):
         if section not in SCHEMA or key not in SCHEMA[section]:
@@ -187,12 +181,16 @@ def _coerce(section, key, raw, lineno):
             return int(raw)
         if spec.type is float:
             return float(raw)
-        return raw
     except ValueError as exc:
         raise ConfigTypeError(
             f"[{section}] {key}: expected {spec.type.__name__}, got {raw!r}",
             line=lineno,
         ) from exc
+    if spec.choices and raw not in spec.choices:
+        raise ConfigTypeError(
+            f"[{section}] {key}: expected one of {', '.join(spec.choices)}, "
+            f"got {raw!r}", line=lineno)
+    return raw
 
 
 def parse_config(text) -> RunConfig:

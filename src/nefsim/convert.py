@@ -10,7 +10,7 @@ over unchanged; trained weights are supplied via file or generated randomly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from . import graph as gr
 from .build import FIXED_POINT, REFERENCE, compile_graph
 from .engine import Simulator
 from .errors import ShapeMismatchError
+from .neurons import DEFAULT_DT
 
 SPIKING = "spiking"
 SPIKING_QUANTIZED = "spiking_quantized"
@@ -54,12 +55,17 @@ class DenseNetSpec:
 
 @dataclass
 class ConversionConfig:
-    scale_firing_rates: float = 400.0
-    output_tau: float = 0.01          # s, low-pass on the network output
-    inter_layer_tau: float | None = None  # None = unfiltered spike hand-off
+    """Conversion settings; fields with metadata are `[convert]` config keys."""
+    scale_firing_rates: float = field(default=400.0, metadata=dict(
+        help="conversion firing-rate scale"))
+    output_tau: float = field(default=0.01, metadata=dict(
+        unit="s", help="output low-pass"))
+    inter_layer_tau: float = field(default=0.0, metadata=dict(
+        unit="s", help="between spiking layers; 0 = none"))
     flavor: str = SPIKING
-    presentation_time: float = 0.5    # s per input
-    dt: float = 0.001
+    presentation_time: float = field(default=0.5, metadata=dict(
+        unit="s", help="time per input"))
+    dt: float = DEFAULT_DT
 
     def validate(self):
         if not self.scale_firing_rates > 0:
@@ -125,7 +131,7 @@ def convert(net: DenseNetSpec, cfg: ConversionConfig):
             g.connect(gr.ConnectionSpec(
                 f"into_layer{l + 1}", src, f"layer{l + 1}",
                 transform=np.eye(n_in), decoders=np.eye(n_in) / s,
-                synapse=cfg.inter_layer_tau))
+                synapse=cfg.inter_layer_tau if cfg.inter_layer_tau > 0 else None))
     # linear output layer: decode the last hidden activity through its weights
     w_out, b_out = net.weights[-1], net.biases[-1]
     g.connect(gr.ConnectionSpec(

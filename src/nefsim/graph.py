@@ -23,7 +23,7 @@ from .errors import (
     UnknownEndpointError,
     UnknownFunctionError,
 )
-from .neurons import ALL_MODELS, LIF_FAMILY, NeuronParams, rate_ceiling
+from .neurons import ALL_MODELS, DEFAULT_DT, LIF_FAMILY, NeuronParams, rate_ceiling
 
 EXTERNAL_INPUT = "external_input"
 EXTERNAL_OUTPUT = "external_output"
@@ -110,7 +110,7 @@ class Diagnostic:
 class ModelGraph:
     """Container for a network description prior to compilation."""
 
-    def __init__(self, dt=0.001, neuron_params: NeuronParams | None = None):
+    def __init__(self, dt=DEFAULT_DT, neuron_params: NeuronParams | None = None):
         self.dt = float(dt)
         self.neuron_params = neuron_params or NeuronParams()
         self._ensembles: dict[str, Ensemble] = {}

@@ -16,7 +16,7 @@ mantissa grid used for weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,8 @@ ALL_MODELS = SPIKING_MODELS + RATE_MODELS
 LIF_FAMILY = (LIF, RATE_LIF)
 RELU_FAMILY = (SPIKING_RELU, RATE_RELU)
 
+DEFAULT_DT = 0.001  # s, simulation timestep unless a run sets its own
+
 # Spike-threshold slack: keeps integer-period drives (e.g. J=100 at dt=1e-3)
 # exactly periodic despite accumulated binary rounding of the increments.
 _SPIKE_EPS = 1e-9
@@ -41,9 +43,14 @@ _SPIKE_EPS = 1e-9
 
 @dataclass(frozen=True)
 class NeuronParams:
-    tau_rc: float = 0.02    # LIF membrane time constant [s]
-    tau_ref: float = 0.002  # LIF refractory period [s]
-    amplitude: float = 1.0  # rectified-linear output scale
+    """Neuron constants; each field is a `[neurons]` config key whose metadata
+    holds its unit and help text."""
+    tau_rc: float = field(default=0.02, metadata=dict(
+        unit="s", help="LIF membrane time constant"))
+    tau_ref: float = field(default=0.002, metadata=dict(
+        unit="s", help="LIF refractory period"))
+    amplitude: float = field(default=1.0, metadata=dict(
+        help="rectified-linear output scale"))
 
     def validate(self):
         if not self.tau_rc > 0:
@@ -56,9 +63,12 @@ class NeuronParams:
 
 @dataclass(frozen=True)
 class QuantizationSpec:
-    weight_mantissa_bits: int = 8
-    state_bits: int = 23
-    dt: float = 0.001
+    """Fixed-point widths (`[neurons]` config keys) and the timestep."""
+    weight_mantissa_bits: int = field(default=8, metadata=dict(
+        unit="bits", help="fixed-point weight mantissa"))
+    state_bits: int = field(default=23, metadata=dict(
+        unit="bits", help="fixed-point neuron state width"))
+    dt: float = DEFAULT_DT
 
     def __post_init__(self):
         if not 2 <= self.weight_mantissa_bits <= 16:

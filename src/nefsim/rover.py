@@ -17,17 +17,24 @@ import numpy as np
 from . import graph as gr
 from .build import compile_graph, default_eval_count, sample_encoders
 from .engine import Simulator
-from .neurons import solve_gain_bias
+from .neurons import DEFAULT_DT, solve_gain_bias
 from .seeding import stream
 
 
 @dataclass(frozen=True)
 class RoverParams:
-    wheelbase: float = 0.3    # m
-    accel_gain: float = 2.0   # speed response per unit drive command
-    drag: float = 0.5         # 1/s
-    steer_gain: float = 4.0   # steering-angle rate per unit steer command
-    max_steer: float = 0.6    # rad
+    """Bicycle plant constants; each field is a `[rover]` config key whose
+    metadata holds its unit and help text."""
+    wheelbase: float = field(default=0.3, metadata=dict(
+        unit="m", help="bicycle wheelbase"))
+    # speed response per unit drive command
+    accel_gain: float = field(default=2.0, metadata=dict(help="plant drive response"))
+    drag: float = field(default=0.5, metadata=dict(unit="1/s", help="plant speed drag"))
+    # steering-angle rate per unit steer command
+    steer_gain: float = field(default=4.0, metadata=dict(
+        help="plant steering-rate response"))
+    max_steer: float = field(default=0.6, metadata=dict(
+        unit="rad", help="steering clamp"))
 
 
 @dataclass
@@ -76,17 +83,29 @@ def world_to_body(target_xy, x, y, heading):
 
 @dataclass
 class RoverNetConfig:
-    n_neurons: int = 512          # per ensemble; 4096 matches the full-scale run
-    radius: float = 3.5           # m, representational range of target coords
-    k_a: float = 1.0
-    k_p: float = 1.5
-    input_tau: float = 0.05       # s, low-pass on the target-position path
-    steer_input_tau: float = 0.005  # s, low-pass on the steering-angle path
-    output_tau: float = 0.02      # s, low-pass on the decoded commands
-    max_rate_range: tuple = (175.0, 220.0)
-    exclusion: float = 0.1        # m, decoder eval points avoid the origin
-    dt: float = 0.001
-    max_steer: float = 0.6        # rad, normalizes the encoded steering angle
+    """Control-network settings; fields with metadata are `[rover]` config
+    keys ("keys" names the flat key of each element of a tuple field)."""
+    n_neurons: int = field(default=512, metadata=dict(
+        help="neurons per control ensemble (4096 = full scale)"))
+    radius: float = field(default=3.5, metadata=dict(
+        unit="m", help="representational radius of target coords"))
+    k_a: float = field(default=1.0, metadata=dict(help="drive gain"))
+    k_p: float = field(default=1.5, metadata=dict(help="steering proportional gain"))
+    input_tau: float = field(default=0.05, metadata=dict(
+        unit="s", help="target-position input filter"))
+    steer_input_tau: float = field(default=0.005, metadata=dict(
+        unit="s", help="steering-angle input filter"))
+    output_tau: float = field(default=0.02, metadata=dict(
+        unit="s", help="decoded command filter"))
+    max_rate_range: tuple = field(default=(175.0, 220.0), metadata=dict(
+        unit="Hz", keys={"max_rate_lo": "ensemble max-rate low",
+                         "max_rate_hi": "ensemble max-rate high"}))
+    exclusion: float = field(default=0.1, metadata=dict(
+        unit="m", help="eval points avoid the origin"))
+    dt: float = DEFAULT_DT
+    # normalizes the encoded steering angle; read from the plant's key
+    max_steer: float = field(default=RoverParams.max_steer,
+                             metadata=dict(key="max_steer"))
     # Steering-ensemble tuning.  The steering command flips sign across the
     # lateral axis when the target is behind, so a share of the population
     # gets encoders hugging +-x with intercepts just above zero; their steep
@@ -202,12 +221,19 @@ def compile_rover_net(cfg: RoverNetConfig, backend, seed=0):
 
 @dataclass
 class RoverTaskConfig:
-    n_targets: int = 6
-    duration_cap: float = 30.0    # s per target
-    capture_radius: float = 0.5   # m
-    spawn_radius: float = 3.0     # m
-    noise_sigma: float = 0.05     # m, on the body-frame target estimate
-    traj_sample_every: float = 0.01  # s
+    """Target-seeking task; each field is a `[rover]` config key."""
+    n_targets: int = field(default=6, metadata=dict(help="targets per run"))
+    duration_cap: float = field(default=30.0, metadata=dict(
+        unit="s", help="time allowed per target"))
+    capture_radius: float = field(default=0.5, metadata=dict(
+        unit="m", help="capture distance"))
+    spawn_radius: float = field(default=3.0, metadata=dict(
+        unit="m", help="targets spawn within this disk"))
+    # on the body-frame target estimate
+    noise_sigma: float = field(default=0.05, metadata=dict(
+        unit="m", help="target estimate noise, per axis"))
+    traj_sample_every: float = field(default=0.01, metadata=dict(
+        unit="s", help="trajectory sampling period"))
 
 
 @dataclass

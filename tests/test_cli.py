@@ -149,6 +149,16 @@ class TestOutputs:
         assert lines[0] == "t,q1,q2,q3,x,y,u1,u2,u3,ua1,ua2,ua3"
         assert len(lines) > 50
 
+    def test_arm_trajectory_sampling_period(self, tmp_path):
+        cfg = write_cfg(tmp_path, "[arm]\nn_neurons = 50\nn_reaches = 1\n"
+                        "n_sessions = 1\nreach_duration = 0.5\n"
+                        "emit_trajectory = true\ntraj_sample_every = 0.05\n")
+        out = tmp_path / "out"
+        assert run(["arm", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
+        lines = (out / "arm_traj.csv").read_text().splitlines()
+        # one 0.5 s reach sampled every 0.05 s, for each of the five controllers
+        assert len(lines) == 1 + 5 * 10
+
     def test_probe_csv_schema(self, tmp_path):
         from nefsim.build import compile_graph
         from nefsim.engine import Simulator

@@ -1,7 +1,11 @@
+from dataclasses import fields
+
 import pytest
 
-from nefsim.config import GLOBAL, RunConfig, config_reference, parse_config
+from nefsim.config import DATACLASSES, GLOBAL, SCHEMA, RunConfig, config_reference, \
+    parse_config
 from nefsim.errors import ConfigTypeError, DuplicateKeyError, UnknownKeyError
+from nefsim.rover import RoverNetConfig, RoverParams
 
 
 class TestParse:
@@ -50,6 +54,17 @@ class TestParse:
         assert cfg.get(GLOBAL, "seed") == 9
         assert cfg.get("arm", "kp") == 12.0
 
+    @pytest.mark.parametrize("text", [
+        "backend = fxied\n",
+        "[neurons]\ntune_model = rleu\n",
+        "[neurons]\nsolve_function = cube\n",
+        "[rover]\ncontroller = neurl\n",
+    ], ids=["backend", "tune_model", "solve_function", "controller"])
+    def test_enumerated_value_typo_with_line_number(self, text):
+        with pytest.raises(ConfigTypeError, match="expected one of") as err:
+            parse_config("# typo below\n" + text)
+        assert err.value.line == text.count("\n") + 1
+
     def test_global_keys_before_sections(self):
         cfg = parse_config("dt = 0.002\nbackend = fixed\n")
         assert cfg.get(GLOBAL, "dt") == 0.002
@@ -72,3 +87,56 @@ class TestEffectiveEcho:
         ref = config_reference()
         assert "payload_mass" in ref
         assert "scale_firing_rates" in ref
+
+
+def _built(cfg):
+    return {cls: cfg.make(cls) for classes in DATACLASSES.values() for cls in classes}
+
+
+# Keys that no dataclass field reads; the runners read them directly.
+LITERAL_KEYS = {
+    (GLOBAL, "seed"), (GLOBAL, "backend"), (GLOBAL, "out_dir"),
+    ("neurons", "reg"), ("neurons", "eval_points_min"),
+    ("neurons", "eval_points_per_neuron"), ("neurons", "tune_model"),
+    ("neurons", "tune_j_min"), ("neurons", "tune_j_max"), ("neurons", "tune_points"),
+    ("neurons", "tune_settle"), ("neurons", "tune_window"),
+    ("neurons", "solve_function"), ("neurons", "solve_n_neurons"),
+    ("neurons", "solve_points"), ("arm", "emit_trajectory"),
+    ("rover", "controller"), ("rover", "bench_preset_small"),
+    ("rover", "bench_preset_large"), ("rover", "bench_duration"),
+    ("convert", "n_inputs"), ("convert", "net_file"), ("convert", "layers"),
+    ("convert", "input_scale"),
+}
+
+
+class TestDataclasses:
+    def test_defaults_build_default_objects(self):
+        for cls, obj in _built(RunConfig()).items():
+            assert obj == cls(), cls.__name__
+
+    @pytest.mark.parametrize("section,key", [
+        (section, key) for section in SCHEMA for key in sorted(SCHEMA[section])])
+    def test_override_changes_exactly_its_fields(self, section, key):
+        spec = SCHEMA[section][key]
+        if spec.type is bool:
+            value = not spec.default
+        elif spec.type is str:
+            value = spec.default + "x"
+        else:
+            value = spec.default + 1
+        before = _built(RunConfig())
+        after = _built(RunConfig({(section, key): value}))
+        changed = {(cls, f.name): getattr(after[cls], f.name)
+                   for cls in before for f in fields(cls)
+                   if getattr(before[cls], f.name) != getattr(after[cls], f.name)}
+        if (section, key) in LITERAL_KEYS:
+            assert changed == {}
+        elif key == "max_steer":  # steers the plant and scales the network input
+            assert changed == {(RoverParams, "max_steer"): value,
+                               (RoverNetConfig, "max_steer"): value}
+        elif key == "dt":
+            assert changed == {(cls, "dt"): value for cls in before
+                               if "dt" in {f.name for f in fields(cls)}}
+        else:
+            (new_value,) = changed.values()
+            assert value in (new_value if isinstance(new_value, tuple) else (new_value,))

@@ -1,13 +1,16 @@
-"""Print the SHA-256 of every CSV the six subcommands write on small configs.
+"""Print the SHA-256 of every CSV the six subcommands write on small configs,
+and of the configuration texts.
 
     python3 tools/csv_digests.py
 
 Each subcommand runs in its own process with one BLAS thread and seed 1, on
 the small configs of tests/test_cli.py: tune, solve, convert, arm (with the
 trajectory file, so both adaptive backends are covered), rover once per
-backend, and bench.  Output is one "<sha256>  <run>/<file>" line per CSV,
-in run order, so two checkouts compare with a plain diff.  A run that fails
-stops the tool with its exit code and stderr.
+backend, and bench.  Output is one "<sha256>  <run>/<file>" line per CSV and
+per run's effective_config.txt, in run order, then one line each for the
+all-defaults effective config (`RunConfig().render_effective()`) and the key
+listing of `--help` (`config_reference()`), so two checkouts compare with a
+plain diff.  A run that fails stops the tool with its exit code and stderr.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT), str(ROOT / "src")]  # the configs live in the CLI tests
 
+from nefsim.config import RunConfig, config_reference  # noqa: E402
 from tests.test_cli import (  # noqa: E402
     FAST_ARM,
     FAST_BENCH,
@@ -42,6 +46,10 @@ RUNS = (
 )
 
 
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
 def main():
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONPATH=str(ROOT / "src"))
@@ -60,9 +68,11 @@ def main():
             if proc.returncode != 0:
                 sys.stderr.write(f"{label}: exit {proc.returncode}\n{proc.stderr}")
                 return proc.returncode
-            for csv in sorted(out.glob("*.csv")):
-                digest = hashlib.sha256(csv.read_bytes()).hexdigest()
-                lines.append(f"{digest}  {label}/{csv.name}")
+            for path in sorted(out.glob("*.csv")) + [out / "effective_config.txt"]:
+                lines.append(f"{sha256(path.read_bytes())}  {label}/{path.name}")
+    lines.append(f"{sha256(RunConfig().render_effective().encode())}  "
+                 "defaults/effective_config.txt")
+    lines.append(f"{sha256(config_reference().encode())}  config_reference")
     print("\n".join(lines))
     return 0
 
