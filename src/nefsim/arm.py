@@ -24,7 +24,7 @@ from . import graph as gr
 from .build import FIXED_POINT, REFERENCE, compile_graph
 from .engine import Simulator
 from .errors import DivergedLearningError, NonFiniteStateError
-from .neurons import DEFAULT_DT
+from .neurons import DEFAULT_DT, NeuronParams, QuantizationSpec
 from .seeding import stream
 
 LENGTHS = (0.3, 0.3, 0.2)  # m
@@ -192,7 +192,7 @@ def arm_dynamics_step(model: ArmModel, state: ArmState, u, dt):
             q[i], dq[i] = lo, 0.0
         elif q[i] > hi:
             q[i], dq[i] = hi, 0.0
-    if not all(math.isfinite(v) for v in q + dq):
+    if not all(map(math.isfinite, q + dq)):
         raise NonFiniteStateError(f"arm state diverged at t={state.t:.6f}")
     return ArmState(q=tuple(q), dq=tuple(dq), t=state.t + dt)
 
@@ -234,26 +234,42 @@ def total_energy(model: ArmModel, q, dq):
 
 # -- operational space control ------------------------------------------------
 
-def _osc_terms(model, q, dq, target, kp, kv, accel_extra_x=0.0, accel_extra_y=0.0,
-               sigma_min=1e-3, null_kp=0.0, null_kv=0.0, q_rest=None):
-    """Task-space PD torque (without gravity compensation), the gravity term,
-    and an optional null-space posture torque, as scalar tuples.
+def osc_control(model: ArmModel, state: ArmState, x, jac, target, cfg: ArmConfig,
+                q_rest=None, integral=None):
+    """Operational-space torques driving the hand at `x` (Jacobian `jac`,
+    both from forward_kinematics at state.q) toward `target`.
 
+    u = J^T M_x (kp e - kv xdot + ki I) + g(q) + u_null, gains from `cfg`.
     M_x = (J M^-1 J^T)^-1 comes from the closed-form eigendecomposition of
     the symmetric 2x2; directions whose eigenvalue falls below sigma_min of
-    the largest are dropped (singularity-robust inverse).  `accel_extra`
-    carries the PID integral command.  With null gains set, a posture torque
+    the largest are dropped (singularity-robust inverse).
+
+    PID runs when `integral` (the task-space error integral, (2,)) is given:
+    it advances by one dt and is clamped so that ki*integral saturates at
+    +-windup.  With `q_rest` given and null gains set, a posture torque
     M(q)(-null_kp (q - q_rest) - null_kv dq) acts through the dynamically
     consistent null-space projector, stabilizing the redundant joint without
     disturbing the task; a 2-D task on three joints otherwise leaves an
     uncontrolled direction for unmodeled loads to fold.
+
+    Returns (u, u_corrective, integral): the torques, their corrective part
+    u_task + u_null (everything but the gravity term), each a 3-tuple, and
+    the advanced integral (None for PD).
     """
-    x, jac = forward_kinematics(model, q)
-    j0, j1 = jac[0], jac[1]
+    q, dq = state.q, state.dq
+    x = (float(x[0]), float(x[1]))  # Python floats: faster than numpy scalars
+    j0, j1 = np.asarray(jac, dtype=float).tolist()
+    extra_x = extra_y = 0.0
+    if integral is not None:
+        limit = cfg.windup / cfg.ki if cfg.ki > 0 else math.inf
+        integral = (
+            min(max(integral[0] + (target[0] - x[0]) * cfg.dt, -limit), limit),
+            min(max(integral[1] + (target[1] - x[1]) * cfg.dt, -limit), limit))
+        extra_x, extra_y = cfg.ki * integral[0], cfg.ki * integral[1]
     dx = j0[0] * dq[0] + j0[1] * dq[1] + j0[2] * dq[2]
     dy = j1[0] * dq[0] + j1[1] * dq[1] + j1[2] * dq[2]
-    ax = kp * (target[0] - x[0]) - kv * dx + accel_extra_x
-    ay = kp * (target[1] - x[1]) - kv * dy + accel_extra_y
+    ax = cfg.kp * (target[0] - x[0]) - cfg.kv * dx + extra_x
+    ay = cfg.kp * (target[1] - x[1]) - cfg.kv * dy + extra_y
 
     m11, m12, m13, m22, m23, m33 = _mass(model, q[1], q[2])
     r1 = _solve3(m11, m12, m13, m22, m23, m33, j0[0], j0[1], j0[2])
@@ -276,7 +292,7 @@ def _osc_terms(model, q, dq, target, kp, kv, accel_extra_x=0.0, accel_extra_y=0.
         i11 = v1x * v1x / lam1
         i12 = v1x * v1y / lam1
         i22 = v1y * v1y / lam1
-        if lam2 >= sigma_min * lam1:
+        if lam2 >= cfg.sigma_min * lam1:
             i11 += v1y * v1y / lam2
             i12 -= v1x * v1y / lam2
             i22 += v1x * v1x / lam2
@@ -288,6 +304,7 @@ def _osc_terms(model, q, dq, target, kp, kv, accel_extra_x=0.0, accel_extra_y=0.
     g = _gravity(model, q[0], q[1], q[2])
 
     u_null = (0.0, 0.0, 0.0)
+    null_kp, null_kv = cfg.null_kp, cfg.null_kv
     if (null_kp or null_kv) and q_rest is not None:
         ad1 = -null_kp * (q[0] - q_rest[0]) - null_kv * dq[0]
         ad2 = -null_kp * (q[1] - q_rest[1]) - null_kv * dq[1]
@@ -305,50 +322,13 @@ def _osc_terms(model, q, dq, target, kp, kv, accel_extra_x=0.0, accel_extra_y=0.
         u_null = (up1 - (j0[0] * w0 + j1[0] * w1),
                   up2 - (j0[1] * w0 + j1[1] * w1),
                   up3 - (j0[2] * w0 + j1[2] * w1))
-    return u_task, g, u_null
-
-
-def osc_pd(model_nominal: ArmModel, state: ArmState, target, kp, kv,
-           sigma_min=1e-3, null_kp=0.0, null_kv=0.0, q_rest=None):
-    """PD operational-space torques: u = g(q) + J^T M_x (kp e - kv xdot),
-    plus the optional null-space posture term (zero by default)."""
-    u_task, g, u_null = _osc_terms(model_nominal, state.q, state.dq, target,
-                                   kp, kv, sigma_min=sigma_min,
-                                   null_kp=null_kp, null_kv=null_kv,
-                                   q_rest=q_rest)
-    return np.array([u_task[0] + g[0] + u_null[0],
-                     u_task[1] + g[1] + u_null[1],
-                     u_task[2] + g[2] + u_null[2]])
-
-
-def _pid_integral(integral, target, x, dt, ki, windup):
-    """Task-space error integral advanced by one dt, clamped so that its
-    acceleration command ki*integral saturates at +-windup."""
-    limit = windup / ki if ki > 0 else math.inf
-    return (min(max(integral[0] + (target[0] - x[0]) * dt, -limit), limit),
-            min(max(integral[1] + (target[1] - x[1]) * dt, -limit), limit))
-
-
-def osc_pid(model_nominal: ArmModel, state: ArmState, target, kp, kv, ki,
-            integral, dt, windup=10.0, sigma_min=1e-3,
-            null_kp=0.0, null_kv=0.0, q_rest=None):
-    """PID variant: adds J^T M_x * clamp(ki * integral, windup).
-
-    `integral` is the running integral of the task-space error (2,); the
-    returned pair is (torques, updated integral).  The integral state is
-    clamped so its acceleration command ki*integral saturates at +-windup.
-    """
-    x, _ = forward_kinematics(model_nominal, state.q)
-    ix, iy = _pid_integral(integral, target, x, dt, ki, windup)
-    u_task, g, u_null = _osc_terms(model_nominal, state.q, state.dq, target,
-                                   kp, kv, accel_extra_x=ki * ix,
-                                   accel_extra_y=ki * iy, sigma_min=sigma_min,
-                                   null_kp=null_kp, null_kv=null_kv,
-                                   q_rest=q_rest)
-    u = np.array([u_task[0] + g[0] + u_null[0],
-                  u_task[1] + g[1] + u_null[1],
-                  u_task[2] + g[2] + u_null[2]])
-    return u, (ix, iy)
+    u = (u_task[0] + g[0] + u_null[0],
+         u_task[1] + g[1] + u_null[1],
+         u_task[2] + g[2] + u_null[2])
+    u_corrective = (u_task[0] + u_null[0],
+                    u_task[1] + u_null[1],
+                    u_task[2] + u_null[2])
+    return u, u_corrective, integral
 
 
 # -- adaptive-ensemble input shaping ------------------------------------------
@@ -356,14 +336,14 @@ def osc_pid(model_nominal: ArmModel, state: ArmState, target, kp, kv, ki,
 def normalize_feedback(q, dq, limits, vel_bound=2.0):
     """Map joint positions/velocities to [-1, 1]^6: positions by their limit
     midpoint and half-range, velocities by +-vel_bound; both clipped."""
-    out = np.empty(6)
+    out = []
     for i, (lo, hi) in enumerate(limits):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        out[i] = min(max((q[i] - mid) / half, -1.0), 1.0)
+        out.append(min(max((q[i] - mid) / half, -1.0), 1.0))
     for i in range(3):
-        out[3 + i] = min(max(dq[i] / vel_bound, -1.0), 1.0)
-    return out
+        out.append(min(max(dq[i] / vel_bound, -1.0), 1.0))
+    return np.array(out)
 
 
 def project_hypersphere(v):
@@ -377,7 +357,7 @@ def project_hypersphere(v):
     v = np.asarray(v, dtype=float)
     d = v.shape[-1]
     s = v / math.sqrt(d)
-    sq = 1.0 - np.sum(s * s, axis=-1, keepdims=True)
+    sq = 1.0 - np.add.reduce(s * s, axis=-1, keepdims=True)
     last = np.sqrt(np.maximum(sq, 0.0))
     return np.concatenate([s, last], axis=-1)
 
@@ -480,6 +460,9 @@ class ArmConfig:
         unit="rad", keys={"limit_q1": "joint 1 clamp, symmetric",
                           "limit_q2": "joint 2 clamp, symmetric",
                           "limit_q3": "joint 3 clamp, symmetric"}))
+    # the adaptive ensemble's neurons, read from the [neurons] keys
+    neuron_params: NeuronParams = NeuronParams()
+    qspec: QuantizationSpec = QuantizationSpec()
 
     def nominal_model(self):
         return self.plant_model(0.0)
@@ -494,7 +477,7 @@ def build_adaptive_net(cfg: ArmConfig, seed=None):
     """Graph for the adaptive ensemble: 7D projected feedback in, 3 joint
     torques out through a zero-initialized learned connection; the error node
     feeds the learning rule directly."""
-    g = gr.ModelGraph(dt=cfg.dt)
+    g = gr.ModelGraph(dt=cfg.dt, neuron_params=cfg.neuron_params)
     g.register_function("zero_torques", lambda v: np.zeros(3))
     g.add_node(gr.NodeSpec("context", 7, gr.EXTERNAL_INPUT))
     g.add_node(gr.NodeSpec("training_error", 3, gr.EXTERNAL_INPUT))
@@ -561,30 +544,14 @@ def _run_session(cfg: ArmConfig, task: ReachTask, controller, session,
     q_rest = tuple(task.start_q)
     for trial in range(task.n_reaches):
         state = ArmState(q=tuple(task.start_q), dq=(0.0, 0.0, 0.0))
-        hand0, _ = forward_kinematics(nominal, state.q)
-        path = _PathFilter(hand0, cfg.path_tau, cfg.dt)
-        integral = (0.0, 0.0)
+        x, jac = forward_kinematics(nominal, state.q)
+        path = _PathFilter(x, cfg.path_tau, cfg.dt)
+        integral = (0.0, 0.0) if controller == PID else None
         err_acc = 0.0
         for i in range(n_steps):
             ref = path.step(target)
-            if controller == PID:
-                x, _ = forward_kinematics(nominal, state.q)
-                integral = _pid_integral(integral, ref, x, cfg.dt, cfg.ki,
-                                         cfg.windup)
-                u_task, gcomp, u_null = _osc_terms(
-                    nominal, state.q, state.dq, ref, cfg.kp, cfg.kv,
-                    accel_extra_x=cfg.ki * integral[0],
-                    accel_extra_y=cfg.ki * integral[1],
-                    sigma_min=cfg.sigma_min, null_kp=cfg.null_kp,
-                    null_kv=cfg.null_kv, q_rest=q_rest)
-            else:
-                u_task, gcomp, u_null = _osc_terms(
-                    nominal, state.q, state.dq, ref, cfg.kp, cfg.kv,
-                    sigma_min=cfg.sigma_min, null_kp=cfg.null_kp,
-                    null_kv=cfg.null_kv, q_rest=q_rest)
-            u1 = u_task[0] + gcomp[0] + u_null[0]
-            u2 = u_task[1] + gcomp[1] + u_null[1]
-            u3 = u_task[2] + gcomp[2] + u_null[2]
+            (u1, u2, u3), corrective, integral = osc_control(
+                nominal, state, x, jac, ref, cfg, q_rest=q_rest, integral=integral)
             ua = (0.0, 0.0, 0.0)
             if adaptive:
                 ctx = project_hypersphere(
@@ -596,25 +563,23 @@ def _run_session(cfg: ArmConfig, task: ReachTask, controller, session,
                 # compensation is already correct and stays out; leaving
                 # the posture torque out too would let learned null-space
                 # components grow unseen by the rule.
-                err = (-(u_task[0] + u_null[0]),
-                       -(u_task[1] + u_null[1]),
-                       -(u_task[2] + u_null[2]))
+                err = (-corrective[0], -corrective[1], -corrective[2])
                 try:
                     outputs = sim.step({"context": ctx, "training_error": err})
                 except DivergedLearningError as exc:
                     raise DivergedLearningError(
                         f"controller {controller}, session {session}, "
                         f"trial {trial}, t={state.t:.6f}s: {exc}") from exc
-                ua = outputs["u_adapt"]
+                ua = outputs["u_adapt"].tolist()
                 mag = math.sqrt(ua[0] ** 2 + ua[1] ** 2 + ua[2] ** 2)
                 if mag > max_ua:
                     max_ua = mag
             state = arm_dynamics_step(
                 plant, state, (u1 + ua[0], u2 + ua[1], u3 + ua[2]), cfg.dt)
-            hx, _ = forward_kinematics(nominal, state.q)
-            err_acc += math.hypot(hx[0] - target[0], hx[1] - target[1])
+            x, jac = forward_kinematics(nominal, state.q)
+            err_acc += math.hypot(x[0] - target[0], x[1] - target[1])
             if trajectory is not None and i % traj_every == 0:
-                trajectory.append((state.t, *state.q, hx[0], hx[1],
+                trajectory.append((state.t, *state.q, x[0], x[1],
                                    u1 + ua[0], u2 + ua[1], u3 + ua[2],
                                    ua[0], ua[1], ua[2]))
         records.append(TrialRecord(session, trial, controller, err_acc / n_steps))
@@ -645,7 +610,8 @@ def run_reach_experiment(cfg: ArmConfig, task: ReachTask, controller, seed,
                                .integers(0, 2 ** 63))
             net = build_adaptive_net(cfg, seed=session_seed)
             backend = REFERENCE if controller == ADAPTIVE_REFERENCE else FIXED_POINT
-            model = compile_graph(net, backend=backend, seed=session_seed)
+            model = compile_graph(net, backend=backend, seed=session_seed,
+                                  qspec=cfg.qspec)
             sim = Simulator(model)
         results.append(_run_session(cfg, task, controller, session, sim=sim,
                                     trajectory=trajectory))

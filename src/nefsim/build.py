@@ -248,7 +248,7 @@ def compile_graph(graph: gr.ModelGraph, backend=REFERENCE, seed=0,
         raise BuildError(
             "graph does not validate: " + "; ".join(str(d) for d in diags)
         )
-    qspec = qspec or QuantizationSpec(dt=graph.dt)
+    qspec = qspec or QuantizationSpec()
     params = graph.neuron_params
     eval_points = eval_points or {}
 

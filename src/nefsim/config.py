@@ -12,7 +12,7 @@ reproducible from (subcommand, config, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 
 from .arm import ArmConfig, ReachTask
 from .build import BACKENDS, DEFAULT_REG, EVAL_POINTS_MIN, EVAL_POINTS_PER_NEURON
@@ -72,10 +72,13 @@ SCHEMA = {
     },
     "neurons": {
         **_field_keys(DATACLASSES["neurons"]),
-        "reg": Key(float, DEFAULT_REG, "", "decoder regularization, fraction of max rate"),
-        "eval_points_min": Key(int, EVAL_POINTS_MIN, "", "decoder eval-point floor"),
+        # solve alone reads these: the rover fits with its own settings
+        "reg": Key(float, DEFAULT_REG, "",
+                   "decoder regularization, fraction of max rate (solve only)"),
+        "eval_points_min": Key(int, EVAL_POINTS_MIN, "",
+                               "decoder eval-point floor (solve only)"),
         "eval_points_per_neuron": Key(int, EVAL_POINTS_PER_NEURON, "",
-                                      "decoder eval points per neuron"),
+                                      "decoder eval points per neuron (solve only)"),
         "tune_model": _enum(("lif", "relu"), "tune sweep model: "),
         "tune_j_min": Key(float, 0.0, "", "tune sweep lowest input current"),
         "tune_j_max": Key(float, 10.0, "", "tune sweep highest input current"),
@@ -124,8 +127,9 @@ class RunConfig:
 
     def make(self, cls, **given):
         """An instance of dataclass `cls` (one of DATACLASSES) with every
-        keyed field read from its section, `dt` from [global], and the
-        fields in `given` as passed."""
+        keyed field read from its section, `dt` from [global], a field whose
+        default is a dataclass instance (one of DATACLASSES) built from that
+        class's section, and the fields in `given` as passed."""
         section = next(s for s, classes in DATACLASSES.items() if cls in classes)
         values = {}
         for f in fields(cls):
@@ -133,6 +137,8 @@ class RunConfig:
                 continue
             if f.name == "dt":
                 values["dt"] = self.get(GLOBAL, "dt")
+            elif is_dataclass(f.default):
+                values[f.name] = self.make(type(f.default))
             elif "keys" in f.metadata:
                 values[f.name] = tuple(self.get(section, k) for k in f.metadata["keys"])
             elif f.metadata:

@@ -53,7 +53,7 @@ def pes_delta(a, u, learning_rate, dt, n_neurons):
     a = np.asarray(a, dtype=float)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     scale = -(learning_rate * dt / n_neurons)
-    return (scale * a)[:, None] * u
+    return np.multiply.outer(u, scale * a).T  # a view of a C-contiguous (k, n)
 
 
 def pes_update(d, a, u, learning_rate, dt, n_neurons):
@@ -201,7 +201,7 @@ class Simulator:
                     f"input for node {nid!r} has shape {v.shape}, "
                     f"expected ({spec.dimensions},)"
                 )
-            if not np.all(np.isfinite(v)):
+            if not np.isfinite(v).all():
                 raise NonFiniteSignalError(f"non-finite input for node {nid!r}")
             values[nid] = v
         return values
@@ -275,7 +275,7 @@ class Simulator:
             a = self._filters[c.id] if c.alpha is not None else self._activity[c.source]
             dT = self._live_dT[c.id]
             dT += pes_delta(a, u, c.learning_rate, dt, a.shape[0]).T
-            if abs(dT.flat[np.argmax(np.abs(dT))]) > DIVERGENCE_LIMIT:
+            if max(dT.max(), -dT.min()) > DIVERGENCE_LIMIT:
                 raise DivergedLearningError(
                     f"connection {c.id!r}: decoder magnitude exceeded "
                     f"{DIVERGENCE_LIMIT:g}"

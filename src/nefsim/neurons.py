@@ -63,12 +63,11 @@ class NeuronParams:
 
 @dataclass(frozen=True)
 class QuantizationSpec:
-    """Fixed-point widths (`[neurons]` config keys) and the timestep."""
+    """Fixed-point widths (`[neurons]` config keys)."""
     weight_mantissa_bits: int = field(default=8, metadata=dict(
         unit="bits", help="fixed-point weight mantissa"))
     state_bits: int = field(default=23, metadata=dict(
         unit="bits", help="fixed-point neuron state width"))
-    dt: float = DEFAULT_DT
 
     def __post_init__(self):
         if not 2 <= self.weight_mantissa_bits <= 16:
@@ -165,12 +164,12 @@ def quantize_weights(W, qspec: QuantizationSpec):
     all-zero matrix is returned unchanged with exponent 0.
     """
     W = np.asarray(W, dtype=float)
-    peak = np.max(np.abs(W)) if W.size else 0.0
+    peak = max(W.max(), -W.min()) if W.size else 0.0
     if peak == 0.0:
         return W.copy(), 0
     e = int(np.ceil(np.log2(peak / qspec.mantissa_max)))
     scale = 2.0 ** e
-    return np.round(W / scale) * scale, e
+    return np.rint(W / scale) * scale, e
 
 
 def quantize_current(J, qspec: QuantizationSpec):
@@ -182,14 +181,11 @@ def quantize_current(J, qspec: QuantizationSpec):
     a shared grid would zero the low-gain neurons' entire operating range.
     """
     J = np.asarray(J, dtype=float)
-    out = np.zeros_like(J)
-    nz = J != 0.0
     # exact ceil(log2(|J|/mantissa_max)) via frexp: t = m * 2**E, m in [0.5, 1)
-    mant, expo = np.frexp(np.abs(J[nz]) / qspec.mantissa_max)
-    e = np.where(mant == 0.5, expo - 1, expo)
-    scale = np.exp2(e.astype(float))
-    out[nz] = np.round(J[nz] / scale) * scale
-    return out
+    mant, expo = np.frexp(np.abs(J) / qspec.mantissa_max)
+    expo -= mant == 0.5
+    out = np.rint(np.ldexp(J, -expo))  # exact: scaling by a power of two
+    return np.ldexp(out, expo) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
 class SpikingState:
@@ -220,25 +216,27 @@ def _step_lif(state, J, dt, params, grid=None, state_max=None):
     refractory -= dt
     # integration window within the step, shortened by remaining refractory
     np.subtract(dt, refractory, out=factor)
-    np.clip(factor, 0.0, dt, out=factor)
+    np.minimum(np.maximum(factor, 0.0, out=factor), dt, out=factor)
     factor *= -1.0 / params.tau_rc
     np.expm1(factor, out=factor)
     factor *= v - J  # = (J - v) * (1 - exp(-delta_t/tau_rc))
     v += factor
     np.maximum(v, 0.0, out=v)  # clamp below at 0
     if grid is not None:
-        np.round(v / grid, out=v)
+        np.rint(np.divide(v, grid, out=v), out=v)  # grid: a power of two
         v *= grid
         np.minimum(v, state_max, out=v)
     spiked = v >= 1.0 - _SPIKE_EPS
-    if np.any(spiked):
-        v_s = v[spiked]
-        J_s = J[spiked] if np.ndim(J) else np.full(v_s.shape, float(J))
+    idx = spiked.nonzero()[0]
+    if idx.size:
+        v_s = v[idx]
+        J_s = J[idx] if np.ndim(J) else np.full(v_s.shape, float(J))
         # Sub-step spike time; J <= 1 can only be reached exactly at threshold.
         overshoot = np.where(J_s > 1.0, (v_s - 1.0) / np.maximum(J_s - 1.0, 1e-300), 0.0)
-        t_spike = dt + params.tau_rc * np.log1p(-np.clip(overshoot, 0.0, 1.0 - 1e-15))
-        refractory[spiked] = params.tau_ref + t_spike
-        v[spiked] = 0.0
+        overshoot = np.minimum(np.maximum(overshoot, 0.0), 1.0 - 1e-15)
+        t_spike = dt + params.tau_rc * np.log1p(-overshoot)
+        refractory[idx] = params.tau_ref + t_spike
+        v[idx] = 0.0
     return spiked.astype(float)
 
 
@@ -248,7 +246,7 @@ def _step_relu(state, J, dt, params, grid=None, state_max=None):
     inc = dt * params.amplitude * np.maximum(J, 0.0)
     v += inc
     if grid is not None:
-        np.round(v / grid, out=v)
+        np.rint(np.divide(v, grid, out=v), out=v)  # grid: a power of two
         v *= grid
         np.minimum(v, state_max, out=v)
     spikes = np.where(v >= 1.0 - _SPIKE_EPS, np.floor(v + _SPIKE_EPS), 0.0)

@@ -17,7 +17,7 @@ import numpy as np
 from . import graph as gr
 from .build import compile_graph, default_eval_count, sample_encoders
 from .engine import Simulator
-from .neurons import DEFAULT_DT, solve_gain_bias
+from .neurons import DEFAULT_DT, NeuronParams, QuantizationSpec, solve_gain_bias
 from .seeding import stream
 
 
@@ -47,14 +47,16 @@ class RoverState:
     t: float = 0.0
 
 
-def accel_law(tx, ty, k_a):
+def accel_law(distance, k_a):
     """Drive command: gain times distance, saturated at 1 m."""
-    return k_a * min(math.hypot(tx, ty), 1.0)
+    return k_a * min(distance, 1.0)
 
 
 def steer_law(tx, ty, q, k_p):
-    """Proportional steering toward the body-frame target direction."""
-    return k_p * (math.atan2(-tx, ty) - q)
+    """Proportional steering toward the body-frame target direction,
+    clipped at +-k_p*pi."""
+    raw = k_p * (math.atan2(-tx, ty) - q)
+    return min(max(raw, -k_p * math.pi), k_p * math.pi)
 
 
 def rover_dynamics_step(state: RoverState, u_accel, u_steer, dt,
@@ -118,6 +120,9 @@ class RoverNetConfig:
     # light regularization plus a denser eval set.
     solver_reg: float = 0.01
     eval_per_neuron: int = 4
+    # neuron constants and fixed-point widths, read from the [neurons] keys
+    neuron_params: NeuronParams = NeuronParams()
+    qspec: QuantizationSpec = QuantizationSpec()
 
 
 def _annulus_points(n, r_inner, r_outer, rng):
@@ -158,15 +163,14 @@ def build_rover_net(cfg: RoverNetConfig, seed=0):
     """Two parallel ensembles: one encodes the normalized relative target and
     decodes the drive law; the other adds the steering angle and decodes the
     steering law.  Commands leave through a shared output node."""
-    g = gr.ModelGraph(dt=cfg.dt)
+    g = gr.ModelGraph(dt=cfg.dt, neuron_params=cfg.neuron_params)
     radius, k_a, k_p, q_max = cfg.radius, cfg.k_a, cfg.k_p, cfg.max_steer
 
     def accel_cmd(v):
-        return np.array([k_a * min(radius * math.hypot(v[0], v[1]), 1.0)])
+        return np.array([accel_law(radius * math.hypot(v[0], v[1]), k_a)])
 
     def steer_cmd(v):
-        raw = k_p * (math.atan2(-v[0], v[1]) - q_max * v[2])
-        return np.array([min(max(raw, -k_p * math.pi), k_p * math.pi)])
+        return np.array([steer_law(v[0], v[1], q_max * v[2], k_p)])
 
     g.register_function("accel_cmd", accel_cmd)
     g.register_function("steer_cmd", steer_cmd)
@@ -215,8 +219,8 @@ def compile_rover_net(cfg: RoverNetConfig, backend, seed=0):
         "accel_ens": rover_eval_points(cfg, n_eval, 2, stream(seed, "rover", "eval2")),
         "steer_ens": rover_eval_points(cfg, n_eval, 3, stream(seed, "rover", "eval3")),
     }
-    return compile_graph(graph, backend=backend, seed=seed, reg=cfg.solver_reg,
-                         eval_points=pts)
+    return compile_graph(graph, backend=backend, seed=seed, qspec=cfg.qspec,
+                         reg=cfg.solver_reg, eval_points=pts)
 
 
 @dataclass
@@ -321,13 +325,13 @@ def run_rover_task(task: RoverTaskConfig, net_cfg: RoverNetConfig, seed,
             if controller == "neural":
                 out = sim.step({"target_in": (tx, ty), "steer_in": (state.steer,)})
                 u_accel = float(out["cmd_out"][0])
-                u_steer = float(out["cmd_out"][1])
+                u_steer = min(max(float(out["cmd_out"][1]), -net_cfg.k_p * math.pi),
+                              net_cfg.k_p * math.pi)
             else:
                 ftx, fty = filt_target.step((tx, ty))
                 fq = filt_q.step((state.steer,))[0]
-                u_accel = accel_law(ftx, fty, net_cfg.k_a)
+                u_accel = accel_law(math.hypot(ftx, fty), net_cfg.k_a)
                 u_steer = steer_law(ftx, fty, fq, net_cfg.k_p)
-            u_steer = min(max(u_steer, -net_cfg.k_p * math.pi), net_cfg.k_p * math.pi)
             state = rover_dynamics_step(state, u_accel, u_steer, dt, params)
             if step_count % sample_steps == 0:
                 run.trajectory.append((state.t, state.x, state.y, state.heading,
@@ -368,8 +372,8 @@ def law_fidelity(net_cfg: RoverNetConfig, backend="reference", seed=0,
     A2 = activity_matrix(accel, pts2)
     w_accel = conn["accel_out"].weights  # transform row [1, 0] x decoders
     decoded_accel = A2 @ w_accel[0]
-    truth_accel = net_cfg.k_a * np.minimum(
-        net_cfg.radius * np.linalg.norm(pts2, axis=1), 1.0)
+    truth_accel = np.array([accel_law(net_cfg.radius * math.hypot(x, y), net_cfg.k_a)
+                            for x, y in pts2])
     accel_rmse = float(np.sqrt(np.mean((decoded_accel - truth_accel) ** 2)))
 
     qs = np.linspace(-0.8, 0.8, n_q)
@@ -380,8 +384,7 @@ def law_fidelity(net_cfg: RoverNetConfig, backend="reference", seed=0,
     A3 = activity_matrix(steer, pts3)
     w_steer = conn["steer_out"].weights
     decoded_steer = A3 @ w_steer[1]
-    raw = net_cfg.k_p * (np.arctan2(-pts3[:, 0], pts3[:, 1])
-                         - net_cfg.max_steer * pts3[:, 2])
-    truth_steer = np.clip(raw, -net_cfg.k_p * math.pi, net_cfg.k_p * math.pi)
+    truth_steer = np.array([steer_law(x, y, net_cfg.max_steer * q, net_cfg.k_p)
+                            for x, y, q in pts3])
     steer_rmse = float(np.sqrt(np.mean((decoded_steer - truth_steer) ** 2)))
     return accel_rmse, steer_rmse

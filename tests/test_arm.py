@@ -14,8 +14,7 @@ from nefsim.arm import (
     gravity_torque,
     mass_matrix,
     normalize_feedback,
-    osc_pd,
-    osc_pid,
+    osc_control,
     project_hypersphere,
     run_arm_protocol,
     total_energy,
@@ -112,14 +111,24 @@ class TestDynamics:
         assert np.allclose(coriolis_torque(m, (0.3, 0.9, -0.4), (0, 0, 0)), 0.0)
 
 
+PD_GAINS = ArmConfig(kp=30.0, kv=10.95)
+
+
+def _osc(m, st, target, cfg=PD_GAINS, integral=None):
+    x, J = forward_kinematics(m, st.q)
+    return osc_control(m, st, x, J, target, cfg, integral=integral)
+
+
 class TestOSC:
     def test_gravity_compensation_only_at_goal(self):
         m = ArmModel()
         q = (1.2, -0.7, -0.5)
         x, _ = forward_kinematics(m, q)
         st = ArmState(q=q, dq=(0.0, 0.0, 0.0))
-        u = osc_pd(m, st, x, kp=30.0, kv=10.95)
+        u, u_corrective, integral = _osc(m, st, x)
         assert np.allclose(u, gravity_torque(m, q), atol=1e-9)
+        assert np.allclose(u_corrective, 0.0, atol=1e-9)
+        assert integral is None
 
     def test_task_force_sign(self):
         # target left of the hand along +x: positive x task force before J^T
@@ -127,8 +136,9 @@ class TestOSC:
         q = (1.2, -0.7, -0.5)
         x, J = forward_kinematics(m, q)
         st = ArmState(q=q, dq=(0.0, 0.0, 0.0))
-        u = osc_pd(m, st, (x[0] + 0.2, x[1]), kp=30.0, kv=10.95)
-        torque_task = u - gravity_torque(m, q)
+        u, u_corrective, _ = _osc(m, st, (x[0] + 0.2, x[1]))
+        torque_task = np.array(u) - gravity_torque(m, q)
+        assert np.allclose(torque_task, u_corrective)
         # recover the task force from the torques: J^T f = torque
         f, *_ = np.linalg.lstsq(J.T, torque_task, rcond=None)
         assert f[0] > 0.0
@@ -140,7 +150,7 @@ class TestOSC:
         worst = 0.0
         for theta in np.linspace(-math.pi, math.pi, 49):
             st = ArmState(q=(theta, 1e-9, -1e-9), dq=(0.0, 0.0, 0.0))
-            u = osc_pd(m, st, (0.4, 0.0), kp=30.0, kv=10.95)
+            u, _, _ = _osc(m, st, (0.4, 0.0))
             assert np.all(np.isfinite(u))
             worst = max(worst, np.linalg.norm(u - gravity_torque(m, st.q)))
         assert worst < 5.0  # measured ~2.1 at kp=30 over the sweep
@@ -148,9 +158,10 @@ class TestOSC:
     def test_pid_reduces_to_pd_without_integral(self):
         m = ArmModel()
         st = ArmState(q=(1.0, -0.5, 0.3), dq=(0.2, -0.1, 0.0))
-        u_pd = osc_pd(m, st, (0.5, 0.2), kp=30.0, kv=10.95)
-        u_pid, integral = osc_pid(m, st, (0.5, 0.2), kp=30.0, kv=10.95,
-                                  ki=0.0, integral=(0.0, 0.0), dt=0.001)
+        u_pd, _, _ = _osc(m, st, (0.5, 0.2))
+        u_pid, _, integral = _osc(m, st, (0.5, 0.2),
+                                  cfg=ArmConfig(kp=30.0, kv=10.95, ki=0.0),
+                                  integral=(0.0, 0.0))
         assert np.allclose(u_pd, u_pid)
 
     def test_integral_accumulates_error(self):
@@ -158,10 +169,10 @@ class TestOSC:
         st = ArmState(q=(1.0, -0.5, 0.3), dq=(0.0, 0.0, 0.0))
         x, _ = forward_kinematics(m, st.q)
         target = (x[0] + 0.1, x[1])
+        cfg = ArmConfig(kp=30.0, kv=10.95, ki=5.0, windup=10.0, dt=0.001)
         integral = (0.0, 0.0)
         for _ in range(1000):  # error held 1 s
-            _, integral = osc_pid(m, st, target, kp=30.0, kv=10.95, ki=5.0,
-                                  integral=integral, dt=0.001, windup=10.0)
+            _, _, integral = _osc(m, st, target, cfg=cfg, integral=integral)
         assert integral[0] == pytest.approx(0.1, rel=1e-9)
 
     def test_integral_windup_clamp(self):
@@ -169,12 +180,11 @@ class TestOSC:
         st = ArmState(q=(1.0, -0.5, 0.3), dq=(0.0, 0.0, 0.0))
         x, _ = forward_kinematics(m, st.q)
         target = (x[0] + 1.0, x[1])
-        ki, windup = 5.0, 2.0
+        cfg = ArmConfig(kp=30.0, kv=10.95, ki=5.0, windup=2.0, dt=0.001)
         integral = (0.0, 0.0)
         for _ in range(5000):
-            _, integral = osc_pid(m, st, target, kp=30.0, kv=10.95, ki=ki,
-                                  integral=integral, dt=0.001, windup=windup)
-        assert ki * integral[0] == pytest.approx(windup)
+            _, _, integral = _osc(m, st, target, cfg=cfg, integral=integral)
+        assert cfg.ki * integral[0] == pytest.approx(cfg.windup)
 
 
 class TestFeedbackShaping:

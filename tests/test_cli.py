@@ -189,6 +189,27 @@ class TestOutputs:
         assert os.listdir(workdir) == []
 
 
+class TestNeuronKeys:
+    @pytest.mark.parametrize("command,cfg_text,override,csv", [
+        ("rover", FAST_ROVER, "tau_rc = 0.05", "rover_traj.csv"),
+        ("arm", "[arm]\nn_neurons = 100\nn_reaches = 1\nn_sessions = 1\n"
+         "reach_duration = 0.5\n", "tau_rc = 0.05", "arm_trials.csv"),
+        ("rover", "backend = fixed\n" + FAST_ROVER, "weight_mantissa_bits = 4",
+         "rover_traj.csv"),
+    ])
+    def test_override_reaches_the_network(self, tmp_path, command, cfg_text,
+                                           override, csv):
+        outs = []
+        for label, text in (("default", cfg_text),
+                            ("override", cfg_text + "[neurons]\n" + override + "\n")):
+            (tmp_path / label).mkdir()
+            cfg = write_cfg(tmp_path / label, text)
+            out = tmp_path / label / "out"
+            assert run([command, "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
+            outs.append((out / csv).read_bytes())
+        assert outs[0] != outs[1]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("command,cfg_text", [
         ("tune", FAST_TUNE),

@@ -1,7 +1,8 @@
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 import pytest
 
+from nefsim.arm import ArmConfig
 from nefsim.config import DATACLASSES, GLOBAL, SCHEMA, RunConfig, config_reference, \
     parse_config
 from nefsim.errors import ConfigTypeError, DuplicateKeyError, UnknownKeyError
@@ -89,8 +90,23 @@ class TestEffectiveEcho:
         assert "scale_firing_rates" in ref
 
 
+def _flat_fields(obj, prefix=""):
+    """(name, value) per field of `obj`, a nested dataclass expanded into
+    "outer.inner" names."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _flat_fields(value, f.name + ".")
+        else:
+            yield prefix + f.name, value
+
+
 def _built(cfg):
     return {cls: cfg.make(cls) for classes in DATACLASSES.values() for cls in classes}
+
+
+def _built_flat(cfg):
+    return {cls: dict(_flat_fields(obj)) for cls, obj in _built(cfg).items()}
 
 
 # Keys that no dataclass field reads; the runners read them directly.
@@ -124,19 +140,24 @@ class TestDataclasses:
             value = spec.default + "x"
         else:
             value = spec.default + 1
-        before = _built(RunConfig())
-        after = _built(RunConfig({(section, key): value}))
-        changed = {(cls, f.name): getattr(after[cls], f.name)
-                   for cls in before for f in fields(cls)
-                   if getattr(before[cls], f.name) != getattr(after[cls], f.name)}
+        before = _built_flat(RunConfig())
+        after = _built_flat(RunConfig({(section, key): value}))
+        changed = {(cls, name): after[cls][name]
+                   for cls in before for name in before[cls]
+                   if before[cls][name] != after[cls][name]}
         if (section, key) in LITERAL_KEYS:
             assert changed == {}
         elif key == "max_steer":  # steers the plant and scales the network input
             assert changed == {(RoverParams, "max_steer"): value,
                                (RoverNetConfig, "max_steer"): value}
         elif key == "dt":
-            assert changed == {(cls, "dt"): value for cls in before
-                               if "dt" in {f.name for f in fields(cls)}}
+            assert changed == {(cls, "dt"): value for cls in before if "dt" in before[cls]}
         else:
-            (new_value,) = changed.values()
+            (new_value,) = set(changed.values())
             assert value in (new_value if isinstance(new_value, tuple) else (new_value,))
+            assert len({name.rpartition(".")[2] for _, name in changed}) == 1
+            if section == "neurons":  # also nested in the arm and rover networks
+                assert len(changed) == 3
+                assert {cls for cls, _ in changed} > {ArmConfig, RoverNetConfig}
+            else:
+                assert len(changed) == 1

@@ -23,13 +23,13 @@ CI_CFG = RoverNetConfig(n_neurons=256)
 
 class TestLaws:
     def test_accel_at_target(self):
-        assert accel_law(0.0, 0.0, 2.0) == 0.0
+        assert accel_law(0.0, 2.0) == 0.0
 
     def test_accel_clip(self):
-        assert accel_law(3.0, 4.0, 2.0) == 2.0
+        assert accel_law(5.0, 2.0) == 2.0
 
     def test_accel_inside_clip(self):
-        assert accel_law(0.3, 0.4, 2.0) == pytest.approx(1.0)
+        assert accel_law(0.5, 2.0) == pytest.approx(1.0)
 
     def test_steer_aligned(self):
         assert steer_law(0.0, 1.0, 0.0, 1.5) == 0.0
@@ -39,6 +39,13 @@ class TestLaws:
 
     def test_steer_angle_offset(self):
         assert steer_law(0.0, 1.0, 0.3, 2.0) == pytest.approx(-0.6)
+
+    def test_steer_clipped(self):
+        # target just left of straight behind, wheels turned right: the raw
+        # law exceeds k_p*pi and saturates there, on either side
+        assert steer_law(-1e-3, -1.0, -0.5, 2.0) == 2.0 * math.pi
+        assert steer_law(1e-3, -1.0, 0.5, 2.0) == -2.0 * math.pi
+        assert steer_law(-1e-3, -1.0, 0.5, 2.0) < 2.0 * math.pi
 
 
 class TestPlant:
@@ -171,7 +178,7 @@ class TestClosedLoop:
             tx, ty = world_to_body(target, s.x, s.y, s.heading)
             if math.hypot(tx, ty) < 0.5:
                 break
-            ua = accel_law(tx, ty, cfg.k_a)
+            ua = accel_law(math.hypot(tx, ty), cfg.k_a)
             us = steer_law(tx, ty, s.steer, cfg.k_p)
             s = rover_dynamics_step(s, ua, us, 0.001, params)
             if i % 100 == 0 and i >= 1000:
@@ -194,7 +201,7 @@ class TestClosedLoop:
         gaps_a, gaps_s = [], []
         for i in range(200, len(rows)):
             tx, ty = world_to_body((tx_w[i], ty_w[i]), x[i], y[i], heading[i])
-            gaps_a.append(abs(u_accel[i] - accel_law(tx, ty, cfg.k_a)))
+            gaps_a.append(abs(u_accel[i] - accel_law(math.hypot(tx, ty), cfg.k_a)))
             gaps_s.append(abs(u_steer[i] - steer_law(tx, ty, q[i], cfg.k_p)))
         assert np.mean(gaps_a) < 0.10 * cfg.k_a
         assert np.mean(gaps_s) < 0.10 * (2 * cfg.k_p * math.pi)

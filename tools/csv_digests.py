@@ -6,7 +6,8 @@ and of the configuration texts.
 Each subcommand runs in its own process with one BLAS thread and seed 1, on
 the small configs of tests/test_cli.py: tune, solve, convert, arm (with the
 trajectory file, so both adaptive backends are covered), rover once per
-backend, and bench.  Output is one "<sha256>  <run>/<file>" line per CSV and
+backend with the neural controller and once with the analytic one, and
+bench.  Output is one "<sha256>  <run>/<file>" line per CSV and
 per run's effective_config.txt, in run order, then one line each for the
 all-defaults effective config (`RunConfig().render_effective()`) and the key
 listing of `--help` (`config_reference()`), so two checkouts compare with a
@@ -42,6 +43,7 @@ RUNS = (
     ("arm", "arm", FAST_ARM + "emit_trajectory = true\n"),
     ("rover-reference", "rover", "backend = reference\n" + FAST_ROVER),
     ("rover-fixed", "rover", "backend = fixed\n" + FAST_ROVER),
+    ("rover-analytic", "rover", FAST_ROVER + "controller = analytic\n"),
     ("bench", "bench", FAST_BENCH),
 )
 
