@@ -71,10 +71,6 @@ class ArmModel:
         self._g2 = m2 * r2 + (m3 + mp) * l2
         self._g3 = m3 * r3 + mp * l3
 
-    def with_payload(self, payload_mass):
-        return ArmModel(self.lengths, self.masses, self.inertias, self.gravity,
-                        self.joint_limits, payload_mass)
-
     @property
     def reach(self):
         return sum(self.lengths)

@@ -23,7 +23,7 @@ from . import arm as arm_mod
 from . import convert as conv_mod
 from . import rover as rover_mod
 from .build import FIXED_POINT, REFERENCE, activity_matrix, compile_graph, \
-    sample_eval_points, solve_decoders
+    sample_eval_points
 from .config import GLOBAL, config_reference, load_config
 from .engine import Simulator
 from .errors import (
@@ -34,7 +34,7 @@ from .errors import (
     NonFiniteSignalError,
     NonFiniteStateError,
 )
-from .graph import Ensemble, ModelGraph
+from .graph import ConnectionSpec, Ensemble, ModelGraph, NodeSpec
 from .neurons import (
     LIF,
     NeuronParams,
@@ -106,21 +106,24 @@ _SOLVE_FUNCTIONS = {
 
 
 def run_solve(cfg, seed, out_dir):
-    fn = _SOLVE_FUNCTIONS[cfg.get("neurons", "solve_function")]
+    name = cfg.get("neurons", "solve_function")
+    fn = _SOLVE_FUNCTIONS[name]
     n = cfg.get("neurons", "solve_n_neurons")
     graph = ModelGraph(dt=cfg.get(GLOBAL, "dt"), neuron_params=cfg.make(NeuronParams))
+    graph.register_function(name, fn)
     graph.add_ensemble(Ensemble("ens", n_neurons=n, dimensions=1,
                                 neuron_model=RATE_LIF, seed=seed))
-    model = compile_graph(graph, seed=seed)
-    ens = model.ensemble("ens")
+    graph.add_node(NodeSpec("out", 1))
+    graph.connect(ConnectionSpec("decode", "ens", "out", function_tag=name))
     rng = stream(seed, "solve", "eval")
     n_eval = max(cfg.get("neurons", "eval_points_min"),
                  cfg.get("neurons", "eval_points_per_neuron") * n)
     pts = sample_eval_points(n_eval, 1, 1.0, rng)
-    A = activity_matrix(ens, pts)
-    d = solve_decoders(A, fn(pts), reg=cfg.get("neurons", "reg"))
+    model = compile_graph(graph, seed=seed, reg=cfg.get("neurons", "reg"),
+                          eval_points={"ens": pts})
+    d = model.connections[0].weights.T
     x = np.linspace(-1.0, 1.0, cfg.get("neurons", "solve_points"))[:, None]
-    decoded = activity_matrix(ens, x) @ d
+    decoded = activity_matrix(model.ensemble("ens"), x) @ d
     write_csv(os.path.join(out_dir, "solve.csv"), ["x", "target", "decoded"],
               zip(x[:, 0], fn(x)[:, 0], decoded[:, 0]))
 

@@ -18,7 +18,7 @@ from . import graph as gr
 from .build import FIXED_POINT, REFERENCE, compile_graph
 from .engine import Simulator
 from .errors import ShapeMismatchError
-from .neurons import DEFAULT_DT
+from .neurons import DEFAULT_DT, NeuronParams, QuantizationSpec
 
 SPIKING = "spiking"
 SPIKING_QUANTIZED = "spiking_quantized"
@@ -66,6 +66,9 @@ class ConversionConfig:
     presentation_time: float = field(default=0.5, metadata=dict(
         unit="s", help="time per input"))
     dt: float = DEFAULT_DT
+    # neuron constants and fixed-point widths, read from the [neurons] keys
+    neuron_params: NeuronParams = NeuronParams()
+    qspec: QuantizationSpec = QuantizationSpec()
 
     def validate(self):
         if not self.scale_firing_rates > 0:
@@ -106,7 +109,7 @@ def convert(net: DenseNetSpec, cfg: ConversionConfig):
     net.validate()
     cfg.validate()
     s = cfg.scale_firing_rates
-    g = gr.ModelGraph(dt=cfg.dt)
+    g = gr.ModelGraph(dt=cfg.dt, neuron_params=cfg.neuron_params)
     g.add_node(gr.NodeSpec("x_in", net.sizes[0], gr.EXTERNAL_INPUT))
     g.add_node(gr.NodeSpec("one_in", 1, gr.EXTERNAL_INPUT))
     g.add_node(gr.NodeSpec("y_out", net.sizes[-1], gr.EXTERNAL_OUTPUT))
@@ -187,18 +190,13 @@ class FidelityReport:
     def mean_abs_err(self):
         return float(np.mean([r.abs_err.mean() for r in self.rows]))
 
-    @property
-    def mean_rel_err(self):
-        scale = self.output_range if self.output_range > 0 else 1.0
-        return self.mean_abs_err / scale
-
 
 def fidelity_report(net: DenseNetSpec, cfg: ConversionConfig, inputs,
                     seed=0) -> FidelityReport:
     """Rate-vs-spiking comparison over a batch of inputs."""
     graph, names = convert(net, cfg)
     backend = FIXED_POINT if cfg.flavor == SPIKING_QUANTIZED else REFERENCE
-    sim = Simulator(compile_graph(graph, backend=backend, seed=seed))
+    sim = Simulator(compile_graph(graph, backend=backend, seed=seed, qspec=cfg.qspec))
     n_steps = int(round(cfg.presentation_time / cfg.dt))
     rows = []
     layer_totals: dict = {}

@@ -9,11 +9,16 @@ Order within a step:
    and the neurons advance, emitting spikes scaled to counts/dt (Hz);
 3. every synapse filter updates with the new signal, y <- a*y + (1-a)*x;
 4. PES updates (``pes_delta``) run on the freshly filtered activities, using
-   the error value from step 1 (one-step-delayed error).  A learned
-   connection's decoders are its only PES-updated state; its weights are
-   re-derived from them after each update (folded, and requantized once on
-   the fixed backend);
+   the error from step 1 (one-step-delayed error): an error node's value or
+   an error connection's output.  A learned connection's decoders are its
+   only PES-updated state; after each update its weight-table entry is
+   re-derived from them (folded through ``fold_left``, and requantized once
+   on the fixed backend);
 5. outputs and probes are populated from the post-update states.
+
+Every connection multiplies by its entry in one weight table: the compiled
+quantized weights on the fixed backend, the float weights on the reference
+one.  ``reset()`` restores the compiled entries.
 
 Everything is deterministic given (model, state, inputs); no randomness and
 no parallelism-dependent reductions live here.
@@ -91,37 +96,27 @@ class Simulator:
         self._node_specs = {n.id: n for n in model.nodes}
         self._inputs_ids = [n.id for n in model.nodes if n.kind == gr.EXTERNAL_INPUT]
         self._output_ids = [n.id for n in model.nodes if n.kind == gr.EXTERNAL_OUTPUT]
-        self._inbound_conns = {n.id: [] for n in model.nodes}
-        self._ens_inbound = {e.id: [] for e in model.ensembles}
+        # inbound connections per node and per ensemble (their ids are disjoint)
+        self._inbound = {x.id: [] for x in [*model.nodes, *model.ensembles]}
         for c in model.connections:
-            if c.target_is_ensemble:
-                self._ens_inbound[c.target].append(c)
-            else:
-                self._inbound_conns[c.target].append(c)
+            self._inbound[c.target].append(c)
+        self._filtered = [c for c in model.connections if c.alpha is not None]
+        # (learned connection, its error connection or None for an error node)
         by_id = {c.id: c for c in model.connections}
-        self._learned = [c for c in model.connections if c.learned]
-        self._error_refs = {}
-        for c in self._learned:
-            src = c.error_source
-            if src in self._node_specs:
-                self._error_refs[c.id] = ("node", src)
-            else:
-                self._error_refs[c.id] = ("conn", by_id[src])
+        self._learned = [(c, by_id.get(c.error_source))
+                         for c in model.connections if c.learned]
         # nodes whose start-of-step value anything consumes: sources of
         # connections into ensembles, of filtered connections (stage 3 feeds
-        # their filters), PES error nodes, and the node-chain ancestors of
-        # these; the rest are only evaluated in the output pass
-        needed = {c.source for c in model.connections if not c.source_is_ensemble
-                  and (c.target_is_ensemble or c.alpha is not None)}
-        for kind, src in self._error_refs.values():
-            if kind == "node":
-                needed.add(src)
-            elif not src.source_is_ensemble:
-                needed.add(src.source)
+        # their filters), of error connections, PES error nodes, and the
+        # node-chain ancestors of these; the rest are only evaluated in the
+        # output pass.  Ensemble ids in the set are never looked up.
+        needed = {c.source for c in model.connections
+                  if c.target_is_ensemble or c.alpha is not None}
+        needed.update(c.error_source if err is None else err.source
+                      for c, err in self._learned)
         for nid in reversed(model.node_order):  # targets before their sources
             if nid in needed:
-                needed.update(c.source for c in self._inbound_conns[nid]
-                              if not c.source_is_ensemble)
+                needed.update(c.source for c in self._inbound[nid])
         self._pre_nodes = [nid for nid in model.node_order
                            if nid in needed
                            and self._node_specs[nid].kind != gr.EXTERNAL_INPUT]
@@ -141,53 +136,37 @@ class Simulator:
             if e.spiking:
                 self._neuron_state[e.id] = SpikingState(e.n)
             self._activity[e.id] = np.zeros(e.n)
-        self._filters = {}
-        for c in m.connections:
-            if c.alpha is not None:
-                dim = c.decoders.shape[0] if c.learned else c.weights.shape[0]
-                self._filters[c.id] = np.zeros(dim)
+        self._filters = {c.id: np.zeros(c.decoders.shape[0] if c.learned
+                                        else c.weights.shape[0])
+                         for c in self._filtered}
+        # the matrix each connection multiplies by; a learned connection's
+        # entry is replaced after each PES update
+        self._w = {c.id: c.quantized_weights if self.fixed else c.weights
+                   for c in m.connections}
         # decoders^T (k, n), C-contiguous so that dT @ a is one BLAS call
-        self._live_dT = {c.id: c.decoders.T.copy() for c in self._learned}
-        # weights derived from _live_dT; until the first PES update the
-        # compiled weights, which the build derived from the same decoders
-        self._learned_w = {}
+        self._live_dT = {c.id: c.decoders.T.copy() for c, _ in self._learned}
         self._probe_filters = {}
         self._probe_rows = {p.id: ([], []) for p in m.probes}
         self._spikes = {e.id: np.zeros(e.n) for e in m.ensembles}
-
-    def _weights(self, conn):
-        if conn.id in self._learned_w:
-            return self._learned_w[conn.id]
-        if self.fixed and conn.quantized_weights is not None:
-            return conn.quantized_weights
-        return conn.weights
 
     def last_activity(self, ens_id):
         """Most recent per-neuron activity (Hz) of an ensemble."""
         return self._activity[ens_id]
 
-    def learned_decoders(self, conn_id):
-        """Live decoder matrix (n, k) of a learned connection."""
-        return self._live_dT[conn_id].T
-
-    def _derive_weights(self, conn):
-        """Weights of a learned connection from its live decoders: folded
-        through fold_left, then quantized on the fixed backend."""
-        w = self._live_dT[conn.id]
-        if conn.fold_left is not None:
-            w = conn.fold_left @ w
-        return quantize_weights(w, self.model.qspec)[0] if self.fixed else w
-
     # -- stepping -----------------------------------------------------------
-    def _conn_output(self, conn, node_values):
+    def _source(self, conn, values):
+        """Current value of a connection's source ensemble or node."""
+        if conn.source_is_ensemble:
+            return self._activity[conn.source]
+        return values[conn.source]
+
+    def _conn_output(self, conn, values):
         """Connection signal from its filter state, or from its source's
         current value when unfiltered."""
-        if conn.alpha is not None:
-            fs = self._filters[conn.id]
-            return self._weights(conn) @ fs if conn.learned else fs
-        if conn.source_is_ensemble:
-            return self._weights(conn) @ self._activity[conn.source]
-        return self._weights(conn) @ node_values[conn.source]
+        if conn.alpha is None:
+            return self._w[conn.id] @ self._source(conn, values)
+        fs = self._filters[conn.id]
+        return self._w[conn.id] @ fs if conn.learned else fs
 
     def _external_values(self, inputs):
         values = {}
@@ -206,18 +185,23 @@ class Simulator:
             values[nid] = v
         return values
 
+    def _sum_inbound(self, target, size, values):
+        """Sum of the connection outputs into a node or ensemble."""
+        total = np.zeros(size)
+        conns = self._inbound[target]
+        for conn in conns:
+            total += self._conn_output(conn, values)
+        if not math.isfinite(total.sum()):
+            kind = "node" if target in self._node_specs else "ensemble"
+            raise NonFiniteSignalError(
+                f"non-finite signal into {kind} {target!r} "
+                f"(connections {[c.id for c in conns]})")
+        return total
+
     def _node_values(self, ext_values, node_ids):
         values = dict(ext_values)
         for nid in node_ids:
-            total = np.zeros(self._node_specs[nid].dimensions)
-            for conn in self._inbound_conns[nid]:
-                total += self._conn_output(conn, values)
-            if not math.isfinite(total.sum()):
-                raise NonFiniteSignalError(
-                    f"non-finite signal into node {nid!r} "
-                    f"(connections {[c.id for c in self._inbound_conns[nid]]})"
-                )
-            values[nid] = total
+            values[nid] = self._sum_inbound(nid, self._node_specs[nid].dimensions, values)
         return values
 
     def step(self, inputs):
@@ -231,13 +215,7 @@ class Simulator:
 
         # (2) ensemble currents, then neuron updates
         for e in m.ensembles:
-            drive = np.zeros(e.n)
-            for conn in self._ens_inbound[e.id]:
-                drive += self._conn_output(conn, node_pre)
-            if not math.isfinite(drive.sum()):
-                bad = [c.id for c in self._ens_inbound[e.id]]
-                raise NonFiniteSignalError(
-                    f"non-finite signal into ensemble {e.id!r} (connections {bad})")
+            drive = self._sum_inbound(e.id, e.n, node_pre)
             J = e.bias + self._gain_over_radius[e.id] * drive
             if e.neuron_model in RATE_MODELS:
                 Jr = quantize_current(J, m.qspec) if self.fixed else J
@@ -254,24 +232,19 @@ class Simulator:
                 act = spikes / dt
             self._activity[e.id] = act
 
-        # (3) synapse filters see the new signals
-        for c in m.connections:
-            if c.alpha is None:
-                continue
+        # (3) synapse filters see the new signals; a learned connection
+        # filters activities and applies its weights on the way out
+        for c in self._filtered:
+            x = self._source(c, node_pre)
+            if not c.learned:
+                x = self._w[c.id] @ x
             fs = self._filters[c.id]
-            if c.learned:
-                x = self._activity[c.source]
-            elif c.source_is_ensemble:
-                x = self._weights(c) @ self._activity[c.source]
-            else:
-                x = self._weights(c) @ node_pre[c.source]
             fs *= c.alpha
             fs += (1.0 - c.alpha) * x
 
-        # (4) PES decoder updates
-        for c in self._learned:
-            kind, src = self._error_refs[c.id]
-            u = node_pre[src] if kind == "node" else self._conn_output(src, node_pre)
+        # (4) PES decoder updates, then the learned weights from the decoders
+        for c, err in self._learned:
+            u = node_pre[c.error_source] if err is None else self._conn_output(err, node_pre)
             a = self._filters[c.id] if c.alpha is not None else self._activity[c.source]
             dT = self._live_dT[c.id]
             dT += pes_delta(a, u, c.learning_rate, dt, a.shape[0]).T
@@ -280,7 +253,8 @@ class Simulator:
                     f"connection {c.id!r}: decoder magnitude exceeded "
                     f"{DIVERGENCE_LIMIT:g}"
                 )
-            self._learned_w[c.id] = self._derive_weights(c)
+            w = dT if c.fold_left is None else c.fold_left @ dT
+            self._w[c.id] = quantize_weights(w, m.qspec)[0] if self.fixed else w
 
         # (5) outputs and probes from post-update state
         node_post = self._node_values(ext, self._post_nodes)

@@ -196,6 +196,8 @@ class TestNeuronKeys:
          "reach_duration = 0.5\n", "tau_rc = 0.05", "arm_trials.csv"),
         ("rover", "backend = fixed\n" + FAST_ROVER, "weight_mantissa_bits = 4",
          "rover_traj.csv"),
+        ("convert", "backend = fixed\n" + FAST_CONVERT, "weight_mantissa_bits = 4",
+         "fidelity.csv"),
     ])
     def test_override_reaches_the_network(self, tmp_path, command, cfg_text,
                                            override, csv):

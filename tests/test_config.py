@@ -5,6 +5,7 @@ import pytest
 from nefsim.arm import ArmConfig
 from nefsim.config import DATACLASSES, GLOBAL, SCHEMA, RunConfig, config_reference, \
     parse_config
+from nefsim.convert import ConversionConfig
 from nefsim.errors import ConfigTypeError, DuplicateKeyError, UnknownKeyError
 from nefsim.rover import RoverNetConfig, RoverParams
 
@@ -156,8 +157,9 @@ class TestDataclasses:
             (new_value,) = set(changed.values())
             assert value in (new_value if isinstance(new_value, tuple) else (new_value,))
             assert len({name.rpartition(".")[2] for _, name in changed}) == 1
-            if section == "neurons":  # also nested in the arm and rover networks
-                assert len(changed) == 3
-                assert {cls for cls, _ in changed} > {ArmConfig, RoverNetConfig}
+            if section == "neurons":  # also nested in the arm, rover and convert networks
+                assert len(changed) == 4
+                assert {cls for cls, _ in changed} > {ArmConfig, RoverNetConfig,
+                                                       ConversionConfig}
             else:
                 assert len(changed) == 1
