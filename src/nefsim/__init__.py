@@ -6,48 +6,30 @@ or fixed-point backend, and step it in fixed dt increments with online PES
 learning.  Two closed-loop benchmark tasks (a target-seeking rover and an
 adaptive arm controller) plus a dense-net spiking conversion exercise the
 pipeline end to end.
+
+The names below are imported from their submodules on first use (PEP 562),
+so importing the package loads no numerical library: the command line sets
+its BLAS thread count before numpy starts.
 """
 
-from .build import (
-    FIXED_POINT,
-    REFERENCE,
-    CompiledModel,
-    activity_matrix,
-    compile_graph,
-    fold_weights,
-    sample_encoders,
-    sample_eval_points,
-    solve_decoders,
-)
-from .engine import Simulator, adapt_signal, pes_update
-from .graph import (
-    ConnectionSpec,
-    Ensemble,
-    ExplicitTuning,
-    ModelGraph,
-    NodeSpec,
-    PESConfig,
-    ProbeSpec,
-)
-from .neurons import (
-    NeuronParams,
-    QuantizationSpec,
-    lif_rate,
-    quantize_weights,
-    relu_rate,
-    solve_gain_bias,
-    step_spiking,
-    step_spiking_quantized,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CompiledModel", "ConnectionSpec", "Ensemble", "ExplicitTuning",
-    "FIXED_POINT", "ModelGraph", "NeuronParams", "NodeSpec", "PESConfig",
-    "ProbeSpec", "QuantizationSpec", "REFERENCE", "Simulator",
-    "activity_matrix", "adapt_signal", "compile_graph", "fold_weights",
-    "lif_rate", "pes_update", "quantize_weights", "relu_rate",
-    "sample_encoders", "sample_eval_points", "solve_decoders",
-    "solve_gain_bias", "step_spiking", "step_spiking_quantized",
-]
+_EXPORTS = {name: module for module, names in (
+    ("build", "FIXED_POINT REFERENCE CompiledModel activity_matrix compile_graph "
+              "fold_weights lower sample_encoders sample_eval_points solve_decoders"),
+    ("engine", "Simulator adapt_signal pes_update"),
+    ("graph", "ConnectionSpec Ensemble ExplicitTuning ModelGraph NodeSpec PESConfig "
+              "ProbeSpec"),
+    ("neurons", "NeuronParams QuantizationSpec lif_rate quantize_weights relu_rate "
+                "solve_gain_bias step_spiking step_spiking_quantized"),
+) for name in names.split()}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)

@@ -1,11 +1,11 @@
 """Compile a validated ModelGraph into a runnable CompiledModel.
 
-Build steps: sample encoders and evaluation points, solve gains/biases from
-max-rate/intercept draws, solve decoders by regularized least squares on the
-rate-model activity matrix, fold decoder/transform/encoder chains into one
-weight matrix per connection, and lower to the requested backend.  The
-``fixed`` backend additionally stores a quantized copy of every weight matrix
-and selects quantized neuron stepping at run time.
+Build steps, the same for every backend: sample encoders and evaluation
+points, solve gains/biases from max-rate/intercept draws, solve decoders by
+regularized least squares on the rate-model activity matrix, and fold
+decoder/transform/encoder chains into one float weight matrix per connection.
+`lower` then copies the model for a backend: ``fixed`` adds a quantized copy
+of every weight matrix and selects quantized neuron stepping at run time.
 
 All randomness comes from per-ensemble streams derived from (seed, ensemble
 id, ensemble seed), so build results are independent of iteration order and
@@ -15,7 +15,7 @@ of the other ensembles present.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -232,23 +232,38 @@ def _apply_function(fn, points):
 
 def compile_graph(graph: gr.ModelGraph, backend=REFERENCE, seed=0,
                   qspec: QuantizationSpec | None = None, reg=DEFAULT_REG,
-                  eval_points: dict | None = None,
-                  n_eval: int | None = None) -> CompiledModel:
-    """Lower a validated graph to a CompiledModel.
+                  eval_points: dict | None = None) -> CompiledModel:
+    """Build a validated graph and lower it to `backend`.
 
     `eval_points` optionally overrides the decoder-solving points per source
     ensemble id (used when the operating region is not the full ball).
-    Encoders, gains, biases, and decoders are identical across backends for
-    the same seed; only the lowering differs.
+    """
+    return lower(_build(graph, seed, reg, eval_points), backend, qspec)
+
+
+def lower(model: CompiledModel, backend, qspec: QuantizationSpec | None = None):
+    """A copy of `model` for `backend`, quantized with `qspec` (default: the
+    model's own) on ``fixed``.  Any CompiledModel can be lowered, also one
+    already lowered; the copy shares every array except the quantized weights.
     """
     if backend not in BACKENDS:
         raise BuildError(f"unknown backend {backend!r}")
+    qspec = qspec or model.qspec
+    conns = []
+    for cc in model.connections:
+        q, exponent = (quantize_weights(cc.weights, qspec) if backend == FIXED_POINT
+                       else (None, 0))
+        conns.append(replace(cc, quantized_weights=q, weight_exponent=exponent))
+    return replace(model, backend=backend, qspec=qspec, connections=conns)
+
+
+def _build(graph: gr.ModelGraph, seed, reg, eval_points) -> CompiledModel:
+    """The backend-independent build: a reference model with float weights."""
     diags = graph.validate()
     if diags:
         raise BuildError(
             "graph does not validate: " + "; ".join(str(d) for d in diags)
         )
-    qspec = qspec or QuantizationSpec()
     params = graph.neuron_params
     eval_points = eval_points or {}
 
@@ -259,8 +274,6 @@ def compile_graph(graph: gr.ModelGraph, backend=REFERENCE, seed=0,
         streams[ens.id] = rng
     ens_index = {ce.id: i for i, ce in enumerate(compiled_ens)}
 
-    nodes = graph.nodes
-
     # Probed ensembles additionally need identity decoders.
     probe_targets = {p.target for p in graph.probes if p.quantity == gr.DECODED_OUTPUT}
 
@@ -269,9 +282,8 @@ def compile_graph(graph: gr.ModelGraph, backend=REFERENCE, seed=0,
             if ce.id in eval_points:
                 ce.eval_points = np.atleast_2d(np.asarray(eval_points[ce.id], dtype=float))
             else:
-                count = n_eval if n_eval is not None else default_eval_count(ce.n)
                 ce.eval_points = sample_eval_points(
-                    count, ce.dims, ce.radius, streams[ce.id]
+                    default_eval_count(ce.n), ce.dims, ce.radius, streams[ce.id]
                 )
         return ce.eval_points
 
@@ -325,8 +337,6 @@ def compile_graph(graph: gr.ModelGraph, backend=REFERENCE, seed=0,
                 cc.fold_left = fold
             cc.learning_rate = conn.learning.learning_rate
             cc.error_source = conn.learning.error_source
-        if backend == FIXED_POINT:
-            cc.quantized_weights, cc.weight_exponent = quantize_weights(W, qspec)
         compiled_conns.append(cc)
 
     for ce in compiled_ens:
@@ -354,8 +364,8 @@ def compile_graph(graph: gr.ModelGraph, backend=REFERENCE, seed=0,
         ))
 
     return CompiledModel(
-        dt=graph.dt, backend=backend, qspec=qspec,
-        ensembles=compiled_ens, nodes=nodes, node_order=graph.node_order(),
+        dt=graph.dt, backend=REFERENCE, qspec=QuantizationSpec(),
+        ensembles=compiled_ens, nodes=graph.nodes, node_order=graph.node_order(),
         connections=compiled_conns, probes=compiled_probes,
         ens_index=ens_index,
     )

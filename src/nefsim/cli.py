@@ -1,9 +1,10 @@
 """Command-line entry point: experiment runners and all file emission.
 
-Subcommands: tune, solve, convert, arm, rover, bench.  Every run writes its
-CSV outputs plus `effective_config.txt` into the --out directory and nothing
-anywhere else.  CSV floats use repr (shortest round-trip), so identical
-(subcommand, config, seed) triples produce byte-identical files.
+Subcommands: tune, solve, convert, arm, rover, bench.  A run writes its CSV
+outputs into the --out directory and nothing anywhere else, and on success
+adds `effective_config.txt`.  CSV floats use repr (shortest round-trip) and
+BLAS runs on one thread, so identical (subcommand, config, seed) triples
+produce byte-identical files.
 
 Exit codes: 0 success, 1 validation/config error, 2 runtime divergence,
 64 usage error.
@@ -17,12 +18,16 @@ import os
 import sys
 import time
 
+# Before numpy loads BLAS, whose thread count changes the CSV bytes.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 
 from . import arm as arm_mod
 from . import convert as conv_mod
 from . import rover as rover_mod
-from .build import FIXED_POINT, REFERENCE, activity_matrix, compile_graph, \
+from .build import FIXED_POINT, REFERENCE, activity_matrix, compile_graph, lower, \
     sample_eval_points
 from .config import GLOBAL, config_reference, load_config
 from .engine import Simulator
@@ -187,9 +192,9 @@ def run_rover(cfg, seed, out_dir):
 
 def run_bench(cfg, seed, out_dir):
     """Wall-clock per simulated second for each backend at the rover's two
-    neuron-count presets.  The CSV describes what ran (deterministic); the
-    measured timings go to bench_timings.txt, which is wall-clock data and
-    not byte-reproducible by nature."""
+    neuron-count presets, each built once and lowered to both backends.  The
+    CSV describes what ran (deterministic); the timings go to
+    bench_timings.txt, which is wall-clock data and not byte-reproducible."""
     duration = cfg.get("rover", "bench_duration")
     dt = cfg.get(GLOBAL, "dt")
     n_steps = int(round(duration / dt))
@@ -197,11 +202,14 @@ def run_bench(cfg, seed, out_dir):
                cfg.get("rover", "bench_preset_large"))
     rows, timing_lines = [], []
     for n_neurons in presets:
+        net_cfg = cfg.make(rover_mod.RoverNetConfig, n_neurons=n_neurons)
+        t0 = time.perf_counter()
+        built = rover_mod.compile_rover_net(net_cfg, REFERENCE, seed=seed)
+        timing_lines.append(f"n={n_neurons}: build {time.perf_counter() - t0:.3f}s")
         for backend in (REFERENCE, FIXED_POINT):
-            net_cfg = cfg.make(rover_mod.RoverNetConfig, n_neurons=n_neurons)
             t0 = time.perf_counter()
-            sim = Simulator(rover_mod.compile_rover_net(net_cfg, backend, seed=seed))
-            build_s = time.perf_counter() - t0
+            sim = Simulator(lower(built, backend))
+            lower_s = time.perf_counter() - t0
             inputs = {"target_in": (1.0, 1.0), "steer_in": (0.0,)}
             t0 = time.perf_counter()
             for _ in range(n_steps):
@@ -209,7 +217,7 @@ def run_bench(cfg, seed, out_dir):
             run_s = time.perf_counter() - t0
             rows.append((backend, str(n_neurons), str(n_steps), fmt(dt)))
             timing_lines.append(
-                f"{backend} n={n_neurons}: build {build_s:.3f}s, "
+                f"{backend} n={n_neurons}: lower+init {lower_s:.3f}s, "
                 f"run {run_s:.3f}s for {duration}s simulated "
                 f"({run_s / duration:.3f}s per simulated second)"
             )
@@ -278,8 +286,8 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else cfg.get(GLOBAL, "seed")
         out_dir = args.out if args.out is not None else cfg.get(GLOBAL, "out_dir")
         os.makedirs(out_dir, exist_ok=True)
-        _echo_config(cfg, out_dir)
         _RUNNERS[args.command](cfg, seed, out_dir)
+        _echo_config(cfg, out_dir)
     except (DivergedLearningError, NonFiniteSignalError, NonFiniteStateError) as exc:
         print(f"runtime divergence: {exc}", file=sys.stderr)
         return 2

@@ -344,8 +344,7 @@ def run_rover_task(task: RoverTaskConfig, net_cfg: RoverNetConfig, seed,
     return run
 
 
-def law_fidelity(net_cfg: RoverNetConfig, backend="reference", seed=0,
-                 n_grid=40, n_q=5):
+def law_fidelity(net_cfg: RoverNetConfig, seed=0, n_grid=40, n_q=5):
     """Open-loop decode accuracy of both laws over a target grid (steering
     additionally swept over the steering angle), excluding the origin
     neighborhood where the angle is undefined.
@@ -357,7 +356,7 @@ def law_fidelity(net_cfg: RoverNetConfig, backend="reference", seed=0,
     """
     from .build import activity_matrix
 
-    model = compile_rover_net(net_cfg, backend, seed=seed)
+    model = compile_rover_net(net_cfg, "reference", seed=seed)
     accel = model.ensemble("accel_ens")
     steer = model.ensemble("steer_ens")
     conn = {c.id: c for c in model.connections}

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,16 @@ from nefsim.build import (
     compile_graph,
     default_eval_count,
     fold_weights,
+    lower,
     sample_encoders,
     sample_eval_points,
     solve_decoders,
 )
+from nefsim.engine import Simulator
 from nefsim.errors import BuildError, ShapeMismatchError, SingularSystemError
+from nefsim.neurons import QuantizationSpec
 from nefsim.seeding import stream
-from tests.conftest import channel_graph
+from tests.conftest import channel_graph, learning_graph
 
 
 def rate_ensemble(n=100, dims=1, seed=0, **kwargs):
@@ -168,6 +173,48 @@ class TestCompile:
             assert np.array_equal(cr.weights, cf.weights)
             assert cf.quantized_weights is not None
             assert cr.quantized_weights is None
+
+    def test_lowering_a_build_equals_compiling_for_the_backend(self):
+        q = QuantizationSpec(weight_mantissa_bits=6)
+        ref = compile_graph(channel_graph(n_neurons=40), seed=7, qspec=q)
+        fix = compile_graph(channel_graph(n_neurons=40), FIXED_POINT, seed=7, qspec=q)
+        lowered = lower(ref, FIXED_POINT, q)
+        assert (lowered.backend, lowered.qspec) == (FIXED_POINT, q)
+        assert ref.backend == REFERENCE  # lowering copies, the build stays as it was
+        for cl, cf, cr in zip(lowered.connections, fix.connections, ref.connections):
+            assert np.array_equal(cl.weights, cf.weights)
+            assert np.array_equal(cl.quantized_weights, cf.quantized_weights)
+            assert cl.weight_exponent == cf.weight_exponent
+            assert cl.weights is cr.weights  # shared with the build, not copied
+            assert cr.quantized_weights is None
+        back = lower(lowered, REFERENCE)
+        assert back.backend == REFERENCE
+        for cb in back.connections:
+            assert cb.quantized_weights is None and cb.weight_exponent == 0
+
+    def test_lower_rejects_an_unknown_backend(self):
+        ref = compile_graph(channel_graph(n_neurons=10), seed=0)
+        with pytest.raises(BuildError, match="'loihi'"):
+            lower(ref, "loihi")
+
+    def test_simulating_a_lowering_leaves_the_build_unchanged(self):
+        ref = compile_graph(learning_graph(n_neurons=40), seed=0)
+
+        def arrays(model):
+            return {(o.id, f.name): np.copy(getattr(o, f.name))
+                    for o in model.ensembles + model.connections
+                    for f in dataclasses.fields(o)
+                    if isinstance(getattr(o, f.name), np.ndarray)}
+
+        before = arrays(ref)
+        sim = Simulator(lower(ref, FIXED_POINT))
+        inputs = {"stim": (0.3, 0.1), "target": (0.5, -0.5)}
+        outs = [sim.step(inputs)["out"] for _ in range(200)]
+        assert np.any(outs[-1] != 0.0)  # the learned readout has moved off zero
+        after = arrays(ref)
+        assert before.keys() == after.keys()
+        for key in before:
+            assert np.array_equal(before[key], after[key]), key
 
     def test_invalid_graph_rejected(self):
         g = gr.ModelGraph()

@@ -1,8 +1,12 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nefsim
 from nefsim.cli import main, write_probe_csv
 
 FAST_ROVER = """
@@ -132,6 +136,17 @@ class TestOutputs:
         assert "controller adaptive_reference, session 0, trial 0" in err
         assert not (out / "arm_trials.csv").exists()
 
+    def test_failed_run_keeps_the_last_config(self, tmp_path):
+        arm = ("[arm]\nn_neurons = 100\nn_reaches = 1\nn_sessions = 1\n"
+               "reach_duration = 0.5\n")
+        out = tmp_path / "out"
+        for text, code in ((arm, 0), (arm + "kappa = 1e9\n", 2)):
+            cfg = write_cfg(tmp_path, text)
+            assert run(["arm", "--config", cfg, "--seed", "0", "--out", str(out)]) == code
+        # the config beside the surviving arm_trials.csv is the one that wrote it
+        assert "kappa = 0.0001\n" in (out / "effective_config.txt").read_text()
+        assert (out / "arm_trials.csv").exists()
+
     def test_bench_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_BENCH)
         out = tmp_path / "out"
@@ -234,3 +249,22 @@ class TestDeterminism:
         assert len(outs[0]) >= 1
         for name in outs[0]:
             assert outs[0][name] == outs[1][name], name
+
+
+class TestThreadCount:
+    @pytest.mark.parametrize("command,cfg_text", [("solve", ""), ("rover", FAST_ROVER)],
+                             ids=["solve", "rover"])
+    def test_bytes_independent_of_blas_threads(self, tmp_path, command, cfg_text):
+        """The CLI pins BLAS to one thread whatever the caller's environment."""
+        cfg = write_cfg(tmp_path, cfg_text)
+        src = str(Path(nefsim.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            out = tmp_path / threads
+            subprocess.run([sys.executable, "-m", "nefsim.cli", command, "--config", cfg,
+                            "--seed", "0", "--out", str(out)], env=env, check=True)
+            outs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+        assert len(outs[0]) >= 1
+        assert outs[0] == outs[1]
