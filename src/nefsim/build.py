@@ -68,8 +68,11 @@ def default_eval_count(n_neurons):
 def activity_matrix(ens: "CompiledEnsemble", eval_points):
     """Rates (points x neurons, Hz) of the ensemble's rate model over points."""
     x = np.atleast_2d(np.asarray(eval_points, dtype=float))
-    J = ens.gain * (x @ ens.encoders.T) / ens.radius + ens.bias
-    return rate(ens.neuron_model, J, ens.params)
+    J = x @ ens.encoders.T  # the one points x neurons buffer: rates go in place
+    J *= ens.gain
+    J /= ens.radius
+    J += ens.bias
+    return rate(ens.neuron_model, J, ens.params, out=J)
 
 def solve_decoders(A, targets, reg=DEFAULT_REG):
     """Least-squares decoders d minimizing
@@ -90,10 +93,13 @@ def solve_decoders(A, targets, reg=DEFAULT_REG):
         )
     n_points = A.shape[0]
     sigma = reg * A.max() if A.size else 0.0
-    G = A.T @ A + (sigma ** 2 * n_points) * np.eye(A.shape[1])
+    G = A.T @ A
+    G.flat[::G.shape[0] + 1] += sigma ** 2 * n_points
     b = A.T @ Y
     try:
-        factor = scipy.linalg.cho_factor(G)
+        # G is exactly symmetric, so its F-ordered view G.T is the same
+        # matrix and LAPACK factors it where it lies, without a copy.
+        factor = scipy.linalg.cho_factor(G.T, overwrite_a=True)
         d = scipy.linalg.cho_solve(factor, b)
     except scipy.linalg.LinAlgError as exc:
         raise SingularSystemError(
@@ -230,6 +236,29 @@ def _apply_function(fn, points):
     return np.vstack(rows)
 
 
+def _solve_ensemble(graph, ce: CompiledEnsemble, conns, probed, reg):
+    """Decoders of `conns` by connection id, and ce's identity decoders if
+    `probed`, all from one activity matrix over ce.eval_points."""
+    pts = ce.eval_points
+    A = activity_matrix(ce, pts)
+    decoders = {}
+    for conn in conns:
+        if conn.function_tag is None:
+            Y = pts
+        else:
+            Y = _apply_function(graph.function(conn.function_tag), pts)
+        try:
+            decoders[conn.id] = solve_decoders(A, Y, reg)
+        except SingularSystemError as exc:
+            raise BuildError(f"connection {conn.id!r}: {exc}") from exc
+    if probed:
+        try:
+            ce.identity_decoders = solve_decoders(A, pts, reg)
+        except SingularSystemError as exc:
+            raise BuildError(f"ensemble {ce.id!r} probe decoders: {exc}") from exc
+    return decoders
+
+
 def compile_graph(graph: gr.ModelGraph, backend=REFERENCE, seed=0,
                   qspec: QuantizationSpec | None = None, reg=DEFAULT_REG,
                   eval_points: dict | None = None) -> CompiledModel:
@@ -274,25 +303,27 @@ def _build(graph: gr.ModelGraph, seed, reg, eval_points) -> CompiledModel:
         streams[ens.id] = rng
     ens_index = {ce.id: i for i, ce in enumerate(compiled_ens)}
 
-    # Probed ensembles additionally need identity decoders.
+    # Every decoder solve, grouped by source ensemble: each activity matrix
+    # is computed once, serves all of its ensemble's solves, and is freed
+    # before the next one is computed.
+    solves = {}
+    for conn in graph.connections:
+        if (conn.source in graph._ensembles and conn.learning is None
+                and conn.decoders is None):
+            solves.setdefault(conn.source, []).append(conn)
     probe_targets = {p.target for p in graph.probes if p.quantity == gr.DECODED_OUTPUT}
-
-    def ens_eval_points(ce):
-        if ce.eval_points is None:
-            if ce.id in eval_points:
-                ce.eval_points = np.atleast_2d(np.asarray(eval_points[ce.id], dtype=float))
-            else:
-                ce.eval_points = sample_eval_points(
-                    default_eval_count(ce.n), ce.dims, ce.radius, streams[ce.id]
-                )
-        return ce.eval_points
-
-    activities = {}
-
-    def ens_activity(ce):
-        if ce.id not in activities:
-            activities[ce.id] = activity_matrix(ce, ens_eval_points(ce))
-        return activities[ce.id]
+    decoders = {}
+    for ce in compiled_ens:
+        if ce.id not in solves and ce.id not in probe_targets:
+            continue
+        if ce.id in eval_points:
+            ce.eval_points = np.atleast_2d(np.asarray(eval_points[ce.id], dtype=float))
+        else:
+            ce.eval_points = sample_eval_points(
+                default_eval_count(ce.n), ce.dims, ce.radius, streams[ce.id]
+            )
+        decoders.update(_solve_ensemble(graph, ce, solves.get(ce.id, ()),
+                                        ce.id in probe_targets, reg))
 
     compiled_conns = []
     for conn in graph.connections:
@@ -309,16 +340,7 @@ def _build(graph: gr.ModelGraph, seed, reg, eval_points) -> CompiledModel:
             elif conn.decoders is not None:
                 d = conn.decoders
             else:
-                A = ens_activity(src)
-                pts = ens_eval_points(src)
-                if conn.function_tag is None:
-                    Y = pts
-                else:
-                    Y = _apply_function(graph.function(conn.function_tag), pts)
-                try:
-                    d = solve_decoders(A, Y, reg)
-                except SingularSystemError as exc:
-                    raise BuildError(f"connection {conn.id!r}: {exc}") from exc
+                d = decoders[conn.id]
             W = fold_weights(d, T, tgt_enc)
         else:
             d = None
@@ -338,14 +360,6 @@ def _build(graph: gr.ModelGraph, seed, reg, eval_points) -> CompiledModel:
             cc.learning_rate = conn.learning.learning_rate
             cc.error_source = conn.learning.error_source
         compiled_conns.append(cc)
-
-    for ce in compiled_ens:
-        if ce.id in probe_targets:
-            pts = ens_eval_points(ce)
-            try:
-                ce.identity_decoders = solve_decoders(ens_activity(ce), pts, reg)
-            except SingularSystemError as exc:
-                raise BuildError(f"ensemble {ce.id!r} probe decoders: {exc}") from exc
 
     compiled_probes = []
     for p in graph.probes:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import resource
 import sys
 import time
 
@@ -205,7 +206,10 @@ def run_bench(cfg, seed, out_dir):
         net_cfg = cfg.make(rover_mod.RoverNetConfig, n_neurons=n_neurons)
         t0 = time.perf_counter()
         built = rover_mod.compile_rover_net(net_cfg, REFERENCE, seed=seed)
-        timing_lines.append(f"n={n_neurons}: build {time.perf_counter() - t0:.3f}s")
+        build_s = time.perf_counter() - t0
+        peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+        timing_lines.append(f"n={n_neurons}: build {build_s:.3f}s, "
+                            f"peak RSS so far {peak_mib:.0f} MiB")
         for backend in (REFERENCE, FIXED_POINT):
             t0 = time.perf_counter()
             sim = Simulator(lower(built, backend))

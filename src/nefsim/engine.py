@@ -248,13 +248,16 @@ class Simulator:
             a = self._filters[c.id] if c.alpha is not None else self._activity[c.source]
             dT = self._live_dT[c.id]
             dT += pes_delta(a, u, c.learning_rate, dt, a.shape[0]).T
-            if max(dT.max(), -dT.min()) > DIVERGENCE_LIMIT:
+            peak = max(dT.max(), -dT.min())
+            if peak > DIVERGENCE_LIMIT:
                 raise DivergedLearningError(
                     f"connection {c.id!r}: decoder magnitude exceeded "
                     f"{DIVERGENCE_LIMIT:g}"
                 )
             w = dT if c.fold_left is None else c.fold_left @ dT
-            self._w[c.id] = quantize_weights(w, m.qspec)[0] if self.fixed else w
+            if self.fixed:  # when w is dT, its peak is the one just taken
+                w = quantize_weights(w, m.qspec, peak if w is dT else None)[0]
+            self._w[c.id] = w
 
         # (5) outputs and probes from post-update state
         node_post = self._node_values(ext, self._post_nodes)

@@ -89,27 +89,39 @@ class QuantizationSpec:
         return (2.0 ** self.state_bits - 1) * self.state_grid
 
 
-def lif_rate(J, params: NeuronParams):
-    """Steady firing rate of an LIF neuron: 0 for J<=1, else the closed form."""
+def lif_rate(J, params: NeuronParams, out=None):
+    """Steady firing rate of an LIF neuron: 0 for J<=1, else the closed form.
+
+    Computed in place in `out` (a new array if None; may be J itself).  J is
+    clamped below at 1 (NaN maps to 1), where the closed form is exactly 0:
+    every element takes the same operations, so no mask is needed.
+    """
     J = np.asarray(J, dtype=float)
-    out = np.zeros_like(J)
-    above = J > 1.0
-    Ja = J[above]
-    out[above] = 1.0 / (params.tau_ref - params.tau_rc * np.log1p(-1.0 / Ja))
+    if out is None:
+        out = np.empty_like(J)
+    np.fmax(J, 1.0, out=out)
+    np.divide(-1.0, out, out=out)
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at J = 1
+        np.log1p(out, out=out)
+    out *= params.tau_rc
+    np.subtract(params.tau_ref, out, out=out)
+    return np.divide(1.0, out, out=out)
+
+
+def relu_rate(J, params: NeuronParams, out=None):
+    """Rectified-linear rate: amplitude * max(J, 0), in `out` if given."""
+    out = np.maximum(np.asarray(J, dtype=float), 0.0, out=out)
+    out *= params.amplitude
     return out
 
 
-def relu_rate(J, params: NeuronParams):
-    """Rectified-linear rate: amplitude * max(J, 0)."""
-    return params.amplitude * np.maximum(np.asarray(J, dtype=float), 0.0)
-
-
-def rate(model, J, params: NeuronParams):
-    """Rate curve of `model` (spiking variants map to their rate curves)."""
+def rate(model, J, params: NeuronParams, out=None):
+    """Rate curve of `model` (spiking variants map to their rate curves),
+    written into `out` if given."""
     if model in LIF_FAMILY:
-        return lif_rate(J, params)
+        return lif_rate(J, params, out)
     if model in RELU_FAMILY:
-        return relu_rate(J, params)
+        return relu_rate(J, params, out)
     raise ValueError(f"unknown neuron model {model!r}")
 
 
@@ -155,16 +167,18 @@ def solve_gain_bias(max_rates, intercepts, params: NeuronParams, model):
     return gain, bias
 
 
-def quantize_weights(W, qspec: QuantizationSpec):
+def quantize_weights(W, qspec: QuantizationSpec, peak=None):
     """Quantize a matrix onto a signed-mantissa grid with one shared
     power-of-two exponent.
 
     e = ceil(log2(max|W| / (2**(mantissa_bits-1) - 1))); entries round to
     multiples of 2**e, so the elementwise error is at most 2**(e-1).  An
-    all-zero matrix is returned unchanged with exponent 0.
+    all-zero matrix is returned unchanged with exponent 0.  A caller that
+    already holds max|W| (as max(W.max(), -W.min())) passes it as `peak`.
     """
     W = np.asarray(W, dtype=float)
-    peak = max(W.max(), -W.min()) if W.size else 0.0
+    if peak is None:
+        peak = max(W.max(), -W.min()) if W.size else 0.0
     if peak == 0.0:
         return W.copy(), 0
     e = int(np.ceil(np.log2(peak / qspec.mantissa_max)))

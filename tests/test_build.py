@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from nefsim.build import (
 )
 from nefsim.engine import Simulator
 from nefsim.errors import BuildError, ShapeMismatchError, SingularSystemError
-from nefsim.neurons import QuantizationSpec
+from nefsim.neurons import QuantizationSpec, rate
+from nefsim.rover import RoverNetConfig, compile_rover_net
 from nefsim.seeding import stream
 from tests.conftest import channel_graph, learning_graph
 
@@ -83,6 +85,21 @@ class TestActivityMatrix:
         ens = rate_ensemble(n=80, dims=2)
         A = activity_matrix(ens, rng.uniform(-1, 1, (200, 2)))
         assert np.all(A >= 0.0)
+
+    def test_equals_the_out_of_place_expression(self):
+        rover = compile_rover_net(RoverNetConfig(n_neurons=512), REFERENCE, seed=0)
+        g = gr.ModelGraph()
+        g.add_ensemble(gr.Ensemble("relu", n_neurons=200, dimensions=2,
+                                   neuron_model="rate_rectified_linear", seed=4,
+                                   radius=1.7))
+        relu = compile_graph(g, seed=0).ensemble("relu")
+        relu.eval_points = sample_eval_points(400, 2, 1.7, stream(0, "pts"))
+        for ens in rover.ensembles + [relu]:
+            x = ens.eval_points
+            expected = rate(ens.neuron_model,
+                            ens.gain * (x @ ens.encoders.T) / ens.radius + ens.bias,
+                            ens.params)
+            assert np.array_equal(activity_matrix(ens, x), expected)
 
 
 class TestSolveDecoders:
@@ -252,3 +269,28 @@ class TestCompile:
 
         r10, r100, r1000 = median_rmse(10), median_rmse(100), median_rmse(1000)
         assert r1000 < r100 < r10
+
+
+class TestBuildMemory:
+    def test_peak_holds_one_activity_matrix_and_no_gram_copies(self):
+        """Two decoded 1024-neuron ensembles: the build's traced peak stays
+        below one activity matrix (plus half again) and two Gram matrices."""
+        n = 1024
+        g = gr.ModelGraph(dt=0.001)
+        g.add_node(gr.NodeSpec("in", 1, gr.EXTERNAL_INPUT))
+        g.add_node(gr.NodeSpec("out", 1, gr.EXTERNAL_OUTPUT))
+        g.add_ensemble(gr.Ensemble("a", n_neurons=n, dimensions=1, seed=1))
+        g.add_ensemble(gr.Ensemble("b", n_neurons=n, dimensions=1, seed=2))
+        g.connect(gr.ConnectionSpec("c_in", "in", "a", synapse=None))
+        g.connect(gr.ConnectionSpec("c_ab", "a", "b", synapse=0.005))
+        g.connect(gr.ConnectionSpec("c_out", "b", "out", synapse=0.01))
+        activity_bytes = default_eval_count(n) * n * 8
+        gram_bytes = n * n * 8
+        tracemalloc.start()
+        try:
+            compile_graph(g, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak > activity_bytes  # numpy's buffers are traced
+        assert peak < 1.5 * activity_bytes + 2 * gram_bytes

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -154,7 +155,11 @@ class TestOutputs:
         lines = (out / "bench.csv").read_text().splitlines()
         assert lines[0] == "backend,n_neurons,n_steps,dt"
         assert len(lines) == 5
-        assert (out / "bench_timings.txt").exists()
+        timings = (out / "bench_timings.txt").read_text().splitlines()
+        build_lines = [line for line in timings if ": build " in line]
+        assert [line.split(":")[0] for line in build_lines] == ["n=32", "n=64"]
+        for line in build_lines:
+            assert re.fullmatch(r"n=\d+: build \d+\.\d{3}s, peak RSS so far \d+ MiB", line)
 
     def test_arm_trajectory_emission(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_ARM + "emit_trajectory = true\n")

@@ -1,7 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nefsim.errors import InfeasibleTuningError
 from nefsim.neurons import (
@@ -55,6 +59,77 @@ class TestRateCurves:
         rates = np.array([10.0, 63.04, 200.0, 350.0])
         J = lif_current_for_rate(rates, PARAMS)
         assert np.allclose(lif_rate(J, PARAMS), rates, rtol=1e-12)
+
+
+def masked_lif_rate(J, params):
+    """The masked closed form that lif_rate computes in place."""
+    J = np.asarray(J, dtype=float)
+    out = np.zeros_like(J)
+    above = J > 1.0
+    out[above] = 1.0 / (params.tau_ref - params.tau_rc * np.log1p(-1.0 / J[above]))
+    return out
+
+
+def plain_relu_rate(J, params):
+    """The out-of-place form that relu_rate computes in place."""
+    return params.amplitude * np.maximum(np.asarray(J, dtype=float), 0.0)
+
+
+ONE_UP = float(np.nextafter(1.0, 2.0))
+ONE_DOWN = float(np.nextafter(1.0, 0.0))
+currents = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6),
+    elements=st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(0.5, 3.0),
+        st.sampled_from([1.0, ONE_UP, ONE_DOWN, 0.0, -0.0, np.inf, -np.inf, np.nan]),
+    ))
+neuron_params = st.builds(
+    NeuronParams,
+    tau_rc=st.floats(1e-4, 1.0),
+    tau_ref=st.one_of(st.just(0.0), st.floats(0.0, 0.01)),
+    amplitude=st.floats(1e-3, 1e3),
+)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestRateCurvesInPlace:
+    """lif_rate/relu_rate with and without `out` equal the out-of-place
+    formulas bit for bit, on every float input."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(J=currents, params=neuron_params)
+    @example(J=np.array([0.5, 1.0, ONE_UP, ONE_DOWN, np.inf, -np.inf, np.nan, 2.0]),
+             params=NeuronParams(tau_ref=0.0))
+    @example(J=np.array(1.0), params=PARAMS)
+    @example(J=np.array(ONE_UP), params=PARAMS)
+    def test_bits_match_the_out_of_place_formulas(self, J, params):
+        for fn, reference in ((lif_rate, masked_lif_rate), (relu_rate, plain_relu_rate)):
+            with np.errstate(all="ignore"):  # 1/0 at J = inf when tau_ref = 0
+                expected = reference(J, params)
+                J_before = J.copy()
+                fresh = fn(J, params)
+                assert same_bits(J, J_before)  # out=None leaves the input alone
+                J_out = J.copy()
+                result = fn(J_out, params, out=J_out)
+            assert same_bits(fresh, expected)
+            assert result is J_out
+            assert same_bits(J_out, expected)
+
+    def test_scalar_input(self):
+        assert same_bits(lif_rate(2.0, PARAMS), masked_lif_rate(2.0, PARAMS))
+        assert same_bits(lif_rate(1.0, PARAMS), masked_lif_rate(1.0, PARAMS))
+        assert same_bits(relu_rate(-3.0, PARAMS), plain_relu_rate(-3.0, PARAMS))
+
+    def test_threshold_and_nan_give_positive_zero_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = lif_rate(np.array([-1.0, 1.0, np.nan, 2.0]), PARAMS)
+        assert same_bits(r[:3], np.zeros(3))
 
 
 class TestGainBias:
@@ -182,6 +257,14 @@ class TestQuantizeWeights:
             assert np.max(np.abs(Wq - W)) <= 2.0 ** (e - 1) + 1e-300
             # mantissas stay within the signed range
             assert np.max(np.abs(np.round(Wq / 2.0 ** e))) <= self.QSPEC.mantissa_max
+
+    def test_given_peak_gives_the_same_bits(self, rng):
+        for _ in range(20):
+            W = 10.0 ** rng.uniform(-6, 3) * rng.standard_normal((3, 7))
+            peak = max(W.max(), -W.min())
+            Wq, e = quantize_weights(W, self.QSPEC)
+            Wq_peak, e_peak = quantize_weights(W, self.QSPEC, peak)
+            assert e_peak == e and same_bits(Wq_peak, Wq)
 
     def test_mantissa_bits_widen_grid(self, rng):
         W = rng.standard_normal((5, 5))
