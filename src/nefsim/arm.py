@@ -621,7 +621,8 @@ def run_arm_protocol(cfg: ArmConfig, task: ReachTask, seed,
     Percent error is 100*(E - E0)/(E1 - E0) per (session, trial) against the
     PD baselines: E0 = PD without payload (0% by construction), E1 = PD with
     payload (100%).  Baselines are always run, whether or not requested.
-    A diverging adaptive session raises DivergedLearningError.
+    A diverging adaptive session raises DivergedLearningError.  Returns the
+    records and {controller: its SessionResults}.
     """
     needed = list(dict.fromkeys([PD_NOLOAD, PD_LOAD] + list(controllers)))
     sessions = {c: run_reach_experiment(cfg, task, c, seed, trajectory=trajectory)
@@ -632,13 +633,10 @@ def run_arm_protocol(cfg: ArmConfig, task: ReachTask, seed,
           for s in sessions[PD_LOAD] for r in s.records}
     records = []
     for c in needed:
-        if c not in controllers and c not in (PD_NOLOAD, PD_LOAD):
-            continue
         for s in sessions[c]:
             for r in s.records:
                 key = (r.session, r.trial)
                 denom = e1[key] - e0[key]
                 r.error_pct = 100.0 * (r.error_raw - e0[key]) / denom
                 records.append(r)
-    stats = {c: sessions[c] for c in needed}
-    return records, stats
+    return records, sessions

@@ -158,7 +158,6 @@ class CompiledConnection:
     id: str
     source: str
     target: str
-    source_is_ensemble: bool
     target_is_ensemble: bool
     weights: np.ndarray            # folded matrix, target units x source units
     alpha: float | None            # filter coefficient exp(-dt/tau), None = unfiltered
@@ -327,13 +326,12 @@ def _build(graph: gr.ModelGraph, seed, reg, eval_points) -> CompiledModel:
 
     compiled_conns = []
     for conn in graph.connections:
-        src_is_ens = conn.source in graph._ensembles
         tgt_is_ens = conn.target in graph._ensembles
         T = conn.transform
         alpha = None if conn.synapse is None else float(np.exp(-graph.dt / conn.synapse))
         tgt_enc = compiled_ens[ens_index[conn.target]].encoders if tgt_is_ens else None
 
-        if src_is_ens:
+        if conn.source in graph._ensembles:
             src = compiled_ens[ens_index[conn.source]]
             if conn.learning is not None:
                 d = np.zeros((src.n, T.shape[1]))
@@ -348,7 +346,7 @@ def _build(graph: gr.ModelGraph, seed, reg, eval_points) -> CompiledModel:
 
         cc = CompiledConnection(
             id=conn.id, source=conn.source, target=conn.target,
-            source_is_ensemble=src_is_ens, target_is_ensemble=tgt_is_ens,
+            target_is_ensemble=tgt_is_ens,
             weights=W, alpha=alpha,
         )
         if conn.learning is not None:

@@ -33,8 +33,6 @@ from .build import FIXED_POINT, REFERENCE, activity_matrix, compile_graph, lower
 from .config import GLOBAL, config_reference, load_config
 from .engine import Simulator
 from .errors import (
-    BuildError,
-    ConfigError,
     DivergedLearningError,
     NefError,
     NonFiniteSignalError,
@@ -295,7 +293,7 @@ def main(argv=None) -> int:
     except (DivergedLearningError, NonFiniteSignalError, NonFiniteStateError) as exc:
         print(f"runtime divergence: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, BuildError, NefError, OSError, ValueError) as exc:
+    except (NefError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from .arm import ArmConfig, ReachTask
 from .build import BACKENDS, DEFAULT_REG, EVAL_POINTS_MIN, EVAL_POINTS_PER_NEURON
 from .convert import ConversionConfig
-from .errors import ConfigTypeError, DuplicateKeyError, UnknownKeyError
+from .errors import ConfigError, ConfigTypeError, DuplicateKeyError, UnknownKeyError
 from .neurons import DEFAULT_DT, NeuronParams, QuantizationSpec
 from .rover import RoverNetConfig, RoverParams, RoverTaskConfig
 
@@ -129,7 +129,8 @@ class RunConfig:
         """An instance of dataclass `cls` (one of DATACLASSES) with every
         keyed field read from its section, `dt` from [global], a field whose
         default is a dataclass instance (one of DATACLASSES) built from that
-        class's section, and the fields in `given` as passed."""
+        class's section, and the fields in `given` as passed.  A value the
+        class rejects raises ConfigError naming the section."""
         section = next(s for s, classes in DATACLASSES.items() if cls in classes)
         values = {}
         for f in fields(cls):
@@ -143,7 +144,10 @@ class RunConfig:
                 values[f.name] = tuple(self.get(section, k) for k in f.metadata["keys"])
             elif f.metadata:
                 values[f.name] = self.get(section, f.metadata.get("key", f.name))
-        return cls(**values, **given)
+        try:
+            return cls(**values, **given)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from exc
 
     def set(self, section, key, value):
         if section not in SCHEMA or key not in SCHEMA[section]:

@@ -18,7 +18,10 @@ Order within a step:
 
 Every connection multiplies by its entry in one weight table: the compiled
 quantized weights on the fixed backend, the float weights on the reference
-one.  ``reset()`` restores the compiled entries.
+one.  Every signal lives in one table keyed by graph id: an ensemble's
+activity, a node's value, a filtered connection's or probe's filter state.
+A connection reads its source as ``values[conn.source]``.  ``reset()``
+restores the compiled weights and zeroes the signals.
 
 Everything is deterministic given (model, state, inputs); no randomness and
 no parallelism-dependent reductions live here.
@@ -130,46 +133,68 @@ class Simulator:
         m = self.model
         self.t = 0.0
         self.step_index = 0
-        self._neuron_state = {}
-        self._activity = {}
-        for e in m.ensembles:
-            if e.spiking:
-                self._neuron_state[e.id] = SpikingState(e.n)
-            self._activity[e.id] = np.zeros(e.n)
-        self._filters = {c.id: np.zeros(c.decoders.shape[0] if c.learned
-                                        else c.weights.shape[0])
-                         for c in self._filtered}
+        self._neuron_state = {e.id: SpikingState(e.n) for e in m.ensembles if e.spiking}
+        # one signal table keyed by graph id: ensemble activities (Hz), node
+        # values, and the filter states of filtered connections and probes
+        self._values = {e.id: np.zeros(e.n) for e in m.ensembles}
+        for c in self._filtered:
+            self._values[c.id] = np.zeros(c.decoders.shape[0] if c.learned
+                                          else c.weights.shape[0])
+        for p in m.probes:
+            if p.alpha is None:
+                continue
+            if not p.target_is_ensemble:
+                size = self._node_specs[p.target].dimensions
+            else:
+                e = m.ensemble(p.target)
+                size = e.dims if p.quantity == gr.DECODED_OUTPUT else e.n
+            self._values[p.id] = np.zeros(size)
         # the matrix each connection multiplies by; a learned connection's
         # entry is replaced after each PES update
         self._w = {c.id: c.quantized_weights if self.fixed else c.weights
                    for c in m.connections}
         # decoders^T (k, n), C-contiguous so that dT @ a is one BLAS call
         self._live_dT = {c.id: c.decoders.T.copy() for c, _ in self._learned}
-        self._probe_filters = {}
         self._probe_rows = {p.id: ([], []) for p in m.probes}
         self._spikes = {e.id: np.zeros(e.n) for e in m.ensembles}
 
     def last_activity(self, ens_id):
         """Most recent per-neuron activity (Hz) of an ensemble."""
-        return self._activity[ens_id]
+        return self._values[ens_id]
 
     # -- stepping -----------------------------------------------------------
-    def _source(self, conn, values):
-        """Current value of a connection's source ensemble or node."""
-        if conn.source_is_ensemble:
-            return self._activity[conn.source]
-        return values[conn.source]
-
-    def _conn_output(self, conn, values):
+    def _conn_output(self, conn):
         """Connection signal from its filter state, or from its source's
         current value when unfiltered."""
         if conn.alpha is None:
-            return self._w[conn.id] @ self._source(conn, values)
-        fs = self._filters[conn.id]
+            return self._w[conn.id] @ self._values[conn.source]
+        fs = self._values[conn.id]
         return self._w[conn.id] @ fs if conn.learned else fs
 
-    def _external_values(self, inputs):
-        values = {}
+    def _sum_inbound(self, target, size):
+        """Sum of the connection outputs into a node or ensemble."""
+        total = np.zeros(size)
+        conns = self._inbound[target]
+        for conn in conns:
+            total += self._conn_output(conn)
+        if not math.isfinite(total.sum()):
+            kind = "node" if target in self._node_specs else "ensemble"
+            raise NonFiniteSignalError(
+                f"non-finite signal into {kind} {target!r} "
+                f"(connections {[c.id for c in conns]})")
+        return total
+
+    def _update_nodes(self, node_ids):
+        for nid in node_ids:
+            self._values[nid] = self._sum_inbound(nid, self._node_specs[nid].dimensions)
+
+    def step(self, inputs):
+        """Advance one dt; returns {external-output id: vector}."""
+        m = self.model
+        dt = self.dt
+        values = self._values
+
+        # (1) external inputs, then node values from start-of-step signals
         for nid in self._inputs_ids:
             spec = self._node_specs[nid]
             if nid not in inputs:
@@ -183,39 +208,12 @@ class Simulator:
             if not np.isfinite(v).all():
                 raise NonFiniteSignalError(f"non-finite input for node {nid!r}")
             values[nid] = v
-        return values
+        self._update_nodes(self._pre_nodes)
 
-    def _sum_inbound(self, target, size, values):
-        """Sum of the connection outputs into a node or ensemble."""
-        total = np.zeros(size)
-        conns = self._inbound[target]
-        for conn in conns:
-            total += self._conn_output(conn, values)
-        if not math.isfinite(total.sum()):
-            kind = "node" if target in self._node_specs else "ensemble"
-            raise NonFiniteSignalError(
-                f"non-finite signal into {kind} {target!r} "
-                f"(connections {[c.id for c in conns]})")
-        return total
-
-    def _node_values(self, ext_values, node_ids):
-        values = dict(ext_values)
-        for nid in node_ids:
-            values[nid] = self._sum_inbound(nid, self._node_specs[nid].dimensions, values)
-        return values
-
-    def step(self, inputs):
-        """Advance one dt; returns {external-output id: vector}."""
-        m = self.model
-        dt = self.dt
-
-        # (1) node values from external inputs and start-of-step signals
-        ext = self._external_values(inputs)
-        node_pre = self._node_values(ext, self._pre_nodes)
-
-        # (2) ensemble currents, then neuron updates
+        # (2) ensemble currents, then neuron updates; a later ensemble reads
+        # an earlier one's new activity
         for e in m.ensembles:
-            drive = self._sum_inbound(e.id, e.n, node_pre)
+            drive = self._sum_inbound(e.id, e.n)
             J = e.bias + self._gain_over_radius[e.id] * drive
             if e.neuron_model in RATE_MODELS:
                 Jr = quantize_current(J, m.qspec) if self.fixed else J
@@ -230,22 +228,23 @@ class Simulator:
                     spikes = step_spiking(state, J, dt, e.params, e.neuron_model)
                 self._spikes[e.id] = spikes
                 act = spikes / dt
-            self._activity[e.id] = act
+            values[e.id] = act
 
         # (3) synapse filters see the new signals; a learned connection
         # filters activities and applies its weights on the way out
         for c in self._filtered:
-            x = self._source(c, node_pre)
+            x = values[c.source]
             if not c.learned:
                 x = self._w[c.id] @ x
-            fs = self._filters[c.id]
+            fs = values[c.id]
             fs *= c.alpha
             fs += (1.0 - c.alpha) * x
 
-        # (4) PES decoder updates, then the learned weights from the decoders
+        # (4) PES decoder updates from the start-of-step error, then the
+        # learned weights from the decoders
         for c, err in self._learned:
-            u = node_pre[c.error_source] if err is None else self._conn_output(err, node_pre)
-            a = self._filters[c.id] if c.alpha is not None else self._activity[c.source]
+            u = values[c.error_source] if err is None else self._conn_output(err)
+            a = values[c.id if c.alpha is not None else c.source]
             dT = self._live_dT[c.id]
             dT += pes_delta(a, u, c.learning_rate, dt, a.shape[0]).T
             peak = max(dT.max(), -dT.min())
@@ -260,31 +259,24 @@ class Simulator:
             self._w[c.id] = w
 
         # (5) outputs and probes from post-update state
-        node_post = self._node_values(ext, self._post_nodes)
+        self._update_nodes(self._post_nodes)
         self.step_index += 1
         self.t = self.step_index * dt
-        self._record_probes(node_post)
-        return {nid: node_post[nid] for nid in self._output_ids}
+        self._record_probes()
+        return {nid: values[nid] for nid in self._output_ids}
 
-    def _record_probes(self, node_post):
+    def _record_probes(self):
+        values = self._values
         for p in self.model.probes:
-            if p.quantity == gr.DECODED_OUTPUT:
-                if p.target_is_ensemble:
-                    e = self.model.ensemble(p.target)
-                    signal = self._activity[p.target] @ e.identity_decoders
-                else:
-                    signal = node_post[p.target]
+            if p.quantity == gr.DECODED_OUTPUT and p.target_is_ensemble:
+                signal = values[p.target] @ self.model.ensemble(p.target).identity_decoders
             elif p.quantity == gr.SPIKE_RASTER:
                 signal = self._spikes[p.target]
-            else:  # filtered activity
-                signal = self._activity[p.target]
+            else:  # a node's value or an ensemble's filtered activity
+                signal = values[p.target]
             if p.alpha is not None:
-                fs = self._probe_filters.get(p.id)
-                if fs is None:
-                    fs = np.zeros_like(signal)
-                fs = p.alpha * fs + (1.0 - p.alpha) * signal
-                self._probe_filters[p.id] = fs
-                signal = fs
+                values[p.id] = p.alpha * values[p.id] + (1.0 - p.alpha) * signal
+                signal = values[p.id]
             if self.step_index % p.every_steps == 0:
                 times, rows = self._probe_rows[p.id]
                 times.append(self.t)

@@ -52,7 +52,7 @@ class NeuronParams:
     amplitude: float = field(default=1.0, metadata=dict(
         help="rectified-linear output scale"))
 
-    def validate(self):
+    def __post_init__(self):
         if not self.tau_rc > 0:
             raise ValueError("tau_rc must be > 0")
         if self.tau_ref < 0:
@@ -110,7 +110,10 @@ def lif_rate(J, params: NeuronParams, out=None):
 
 def relu_rate(J, params: NeuronParams, out=None):
     """Rectified-linear rate: amplitude * max(J, 0), in `out` if given."""
-    out = np.maximum(np.asarray(J, dtype=float), 0.0, out=out)
+    J = np.asarray(J, dtype=float)
+    if out is None:
+        out = np.empty_like(J)
+    np.maximum(J, 0.0, out=out)
     out *= params.amplitude
     return out
 

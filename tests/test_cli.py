@@ -231,6 +231,19 @@ class TestNeuronKeys:
             outs.append((out / csv).read_bytes())
         assert outs[0] != outs[1]
 
+    @pytest.mark.parametrize("command,cfg_text,override,message", [
+        ("tune", FAST_TUNE, "tau_rc = -0.02", "tau_rc must be > 0"),
+        ("solve", FAST_SOLVE, "tau_rc = 0", "tau_rc must be > 0"),
+        ("convert", FAST_CONVERT + "[neurons]\n", "amplitude = -1", "amplitude must be > 0"),
+    ], ids=["tune-negative-tau_rc", "solve-zero-tau_rc", "convert-negative-amplitude"])
+    def test_invalid_value_exits_1(self, tmp_path, capsys, command, cfg_text,
+                                   override, message):
+        cfg = write_cfg(tmp_path, cfg_text + override + "\n")
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--seed", "1", "--out", str(out)]) == 1
+        assert f"error: [neurons] {message}\n" in capsys.readouterr().err
+        assert not any(out.glob("*"))
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("command,cfg_text", [

@@ -19,6 +19,7 @@ from nefsim.neurons import (
     lif_current_for_rate,
     lif_rate,
     measured_rate_curve,
+    quantize_current,
     quantize_weights,
     relu_rate,
     solve_gain_bias,
@@ -117,6 +118,7 @@ class TestRateCurvesInPlace:
                 J_out = J.copy()
                 result = fn(J_out, params, out=J_out)
             assert same_bits(fresh, expected)
+            assert type(fresh) is np.ndarray  # also on 0-d input
             assert result is J_out
             assert same_bits(J_out, expected)
 
@@ -271,3 +273,40 @@ class TestQuantizeWeights:
         _, e8 = quantize_weights(W, QuantizationSpec(weight_mantissa_bits=8))
         _, e4 = quantize_weights(W, QuantizationSpec(weight_mantissa_bits=4))
         assert e4 > e8
+
+
+# signed values m * 2**k with m in [1, 2), so that neither |x| / mantissa_max
+# nor the rounded result leaves the normal float range; and both zeros
+quantizable = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda sign, m, k: sign * m * 2.0 ** k, st.sampled_from([-1.0, 1.0]),
+              st.floats(1.0, 2.0, exclude_max=True), st.integers(-900, 900)))
+qspecs = st.builds(QuantizationSpec, weight_mantissa_bits=st.integers(2, 16))
+
+
+class TestQuantizerProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(W=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                        elements=quantizable),
+           qspec=qspecs)
+    def test_weights_round_to_nearest_on_the_minimal_grid(self, W, qspec):
+        Wq, e = quantize_weights(W, qspec)
+        peak = max(W.max(), -W.min())
+        if peak == 0.0:
+            assert e == 0 and same_bits(Wq, W)
+            return
+        assert np.all(np.abs(Wq - W) <= 2.0 ** (e - 1))
+        mantissas = Wq / 2.0 ** e
+        assert np.array_equal(mantissas, np.rint(mantissas))
+        assert np.all(np.abs(mantissas) <= qspec.mantissa_max)
+        assert peak > qspec.mantissa_max * 2.0 ** (e - 1)  # e - 1 would clip
+
+    @settings(max_examples=300, deadline=None)
+    @given(J=hnp.arrays(np.float64, st.integers(1, 8), elements=quantizable),
+           qspec=qspecs)
+    def test_current_relative_error(self, J, qspec):
+        Jq = quantize_current(J, qspec)
+        nonzero = J != 0.0
+        rel = np.abs(Jq[nonzero] - J[nonzero]) / np.abs(J[nonzero])
+        assert np.all(rel < 1.0 / qspec.mantissa_max)
+        assert same_bits(Jq[~nonzero], np.zeros(np.count_nonzero(~nonzero)))  # +0.0
