@@ -237,25 +237,22 @@ def _apply_function(fn, points):
 
 def _solve_ensemble(graph, ce: CompiledEnsemble, conns, probed, reg):
     """Decoders of `conns` by connection id, and ce's identity decoders if
-    `probed`, all from one activity matrix over ce.eval_points."""
+    `probed`, from one solve on one activity matrix over ce.eval_points: the
+    targets are stacked column-wise and the decoders split back."""
     pts = ce.eval_points
-    A = activity_matrix(ce, pts)
-    decoders = {}
-    for conn in conns:
-        if conn.function_tag is None:
-            Y = pts
-        else:
-            Y = _apply_function(graph.function(conn.function_tag), pts)
-        try:
-            decoders[conn.id] = solve_decoders(A, Y, reg)
-        except SingularSystemError as exc:
-            raise BuildError(f"connection {conn.id!r}: {exc}") from exc
+    targets = [pts if c.function_tag is None
+               else _apply_function(graph.function(c.function_tag), pts) for c in conns]
     if probed:
-        try:
-            ce.identity_decoders = solve_decoders(A, pts, reg)
-        except SingularSystemError as exc:
-            raise BuildError(f"ensemble {ce.id!r} probe decoders: {exc}") from exc
-    return decoders
+        targets.append(pts)
+    try:
+        d = solve_decoders(activity_matrix(ce, pts), np.hstack(targets), reg)
+    except SingularSystemError as exc:
+        raise BuildError(f"ensemble {ce.id!r} (connections "
+                         f"{[c.id for c in conns]}): {exc}") from exc
+    parts = np.split(d, np.cumsum([Y.shape[1] for Y in targets])[:-1], axis=1)
+    if probed:
+        ce.identity_decoders = parts.pop()
+    return {c.id: part for c, part in zip(conns, parts)}
 
 
 def compile_graph(graph: gr.ModelGraph, backend=REFERENCE, seed=0,

@@ -2,8 +2,9 @@
 
 Order within a step:
 
-1. node values are computed from this step's external inputs and the
-   *previous* step's filtered/raw presynaptic signals (within-step
+1. the external inputs are written, then every passthrough node and every
+   output node that a PES rule reads as its error is computed from them and
+   the *previous* step's filtered/raw presynaptic signals (within-step
    node-to-node chains resolve in dependency order);
 2. ensemble input currents are assembled from the same connection outputs
    and the neurons advance, emitting spikes scaled to counts/dt (Hz);
@@ -20,8 +21,10 @@ Every connection multiplies by its entry in one weight table: the compiled
 quantized weights on the fixed backend, the float weights on the reference
 one.  Every signal lives in one table keyed by graph id: an ensemble's
 activity, a node's value, a filtered connection's or probe's filter state.
-A connection reads its source as ``values[conn.source]``.  ``reset()``
-restores the compiled weights and zeroes the signals.
+Every connection and PES error is read one way, fixed when the simulator is
+built: a read (weights id or None, signal id) outputs
+``_w[weights id] @ values[signal id]``, or the signal itself for None.
+``reset()`` restores the compiled weights and zeroes the signals.
 
 Everything is deterministic given (model, state, inputs); no randomness and
 no parallelism-dependent reductions live here.
@@ -96,36 +99,50 @@ class Simulator:
         self.model = model
         self.dt = model.dt
         self.fixed = model.backend == FIXED_POINT
-        self._node_specs = {n.id: n for n in model.nodes}
-        self._inputs_ids = [n.id for n in model.nodes if n.kind == gr.EXTERNAL_INPUT]
-        self._output_ids = [n.id for n in model.nodes if n.kind == gr.EXTERNAL_OUTPUT]
-        # inbound connections per node and per ensemble (their ids are disjoint)
-        self._inbound = {x.id: [] for x in [*model.nodes, *model.ensembles]}
+        # each connection's read (see the module docstring): an unfiltered
+        # one reads its source, a filtered one its filter state, which
+        # already holds W @ x unless the connection learns
+        read = {c.id: (c.id, c.source) if c.alpha is None
+                else (c.id if c.learned else None, c.id) for c in model.connections}
+        inbound = {x.id: [] for x in [*model.nodes, *model.ensembles]}
         for c in model.connections:
-            self._inbound[c.target].append(c)
-        self._filtered = [c for c in model.connections if c.alpha is not None]
-        # (learned connection, its error connection or None for an error node)
-        by_id = {c.id: c for c in model.connections}
-        self._learned = [(c, by_id.get(c.error_source))
+            inbound[c.target].append(read[c.id])
+        specs = {n.id: n for n in model.nodes}
+        self._inputs = [(n.id, n.dimensions) for n in model.nodes
+                        if n.kind == gr.EXTERNAL_INPUT]
+        self._output_ids = [n.id for n in model.nodes if n.kind == gr.EXTERNAL_OUTPUT]
+        self._ensembles = [(e, e.gain / e.radius, inbound[e.id]) for e in model.ensembles]
+        # (id, source, alpha, weights id or None) of every filtered connection
+        self._filters = [(c.id, c.source, c.alpha, None if c.learned else c.id)
+                         for c in model.connections if c.alpha is not None]
+        # (learned connection, its error's read, the id of the activities it
+        # learns from); an error node is read as (None, node id)
+        self._learned = [(c, read.get(c.error_source, (None, c.error_source)),
+                          c.id if c.alpha is not None else c.source)
                          for c in model.connections if c.learned]
-        # nodes whose start-of-step value anything consumes: sources of
-        # connections into ensembles, of filtered connections (stage 3 feeds
-        # their filters), of error connections, PES error nodes, and the
-        # node-chain ancestors of these; the rest are only evaluated in the
-        # output pass.  Ensemble ids in the set are never looked up.
-        needed = {c.source for c in model.connections
-                  if c.target_is_ensemble or c.alpha is not None}
-        needed.update(c.error_source if err is None else err.source
-                      for c, err in self._learned)
-        for nid in reversed(model.node_order):  # targets before their sources
-            if nid in needed:
-                needed.update(c.source for c in self._inbound[nid])
-        self._pre_nodes = [nid for nid in model.node_order
-                           if nid in needed
-                           and self._node_specs[nid].kind != gr.EXTERNAL_INPUT]
-        self._post_nodes = [nid for nid in model.node_order
-                            if self._node_specs[nid].kind != gr.EXTERNAL_INPUT]
-        self._gain_over_radius = {e.id: e.gain / e.radius for e in model.ensembles}
+        self._post_nodes = [(nid, specs[nid].dimensions, inbound[nid])
+                            for nid in model.node_order
+                            if specs[nid].kind != gr.EXTERNAL_INPUT]
+        # The pre-pass holds every node read before stage 5: any passthrough
+        # node, and an output node only as a PES error (nothing else reads
+        # one).  Stage 5 overwrites a passthrough value that nothing read.
+        errors = {c.error_source for c in model.connections if c.learned}
+        self._pre_nodes = [t for t in self._post_nodes
+                           if specs[t[0]].kind == gr.PASSTHROUGH or t[0] in errors]
+        # (id, size) of every signal reset() zeroes: ensemble activities and
+        # the filter states of filtered connections and probes
+        self._zeroed = [(e.id, e.n) for e in model.ensembles]
+        self._zeroed += [(c.id, (c.decoders if c.learned else c.weights).shape[0])
+                         for c in model.connections if c.alpha is not None]
+        for p in model.probes:
+            if p.alpha is None:
+                continue
+            if not p.target_is_ensemble:
+                size = specs[p.target].dimensions
+            else:
+                e = model.ensemble(p.target)
+                size = e.dims if p.quantity == gr.DECODED_OUTPUT else e.n
+            self._zeroed.append((p.id, size))
         self.reset()
 
     # -- state ------------------------------------------------------------
@@ -136,25 +153,13 @@ class Simulator:
         self._neuron_state = {e.id: SpikingState(e.n) for e in m.ensembles if e.spiking}
         # one signal table keyed by graph id: ensemble activities (Hz), node
         # values, and the filter states of filtered connections and probes
-        self._values = {e.id: np.zeros(e.n) for e in m.ensembles}
-        for c in self._filtered:
-            self._values[c.id] = np.zeros(c.decoders.shape[0] if c.learned
-                                          else c.weights.shape[0])
-        for p in m.probes:
-            if p.alpha is None:
-                continue
-            if not p.target_is_ensemble:
-                size = self._node_specs[p.target].dimensions
-            else:
-                e = m.ensemble(p.target)
-                size = e.dims if p.quantity == gr.DECODED_OUTPUT else e.n
-            self._values[p.id] = np.zeros(size)
+        self._values = {sid: np.zeros(size) for sid, size in self._zeroed}
         # the matrix each connection multiplies by; a learned connection's
         # entry is replaced after each PES update
         self._w = {c.id: c.quantized_weights if self.fixed else c.weights
                    for c in m.connections}
         # decoders^T (k, n), C-contiguous so that dT @ a is one BLAS call
-        self._live_dT = {c.id: c.decoders.T.copy() for c, _ in self._learned}
+        self._live_dT = {c.id: c.decoders.T.copy() for c, _, _ in self._learned}
         self._probe_rows = {p.id: ([], []) for p in m.probes}
         self._spikes = {e.id: np.zeros(e.n) for e in m.ensembles}
 
@@ -163,58 +168,43 @@ class Simulator:
         return self._values[ens_id]
 
     # -- stepping -----------------------------------------------------------
-    def _conn_output(self, conn):
-        """Connection signal from its filter state, or from its source's
-        current value when unfiltered."""
-        if conn.alpha is None:
-            return self._w[conn.id] @ self._values[conn.source]
-        fs = self._values[conn.id]
-        return self._w[conn.id] @ fs if conn.learned else fs
-
-    def _sum_inbound(self, target, size):
-        """Sum of the connection outputs into a node or ensemble."""
+    def _drive(self, target, size, reads):
+        """Sum of the reads into a node or ensemble, checked finite."""
+        weights, values = self._w, self._values
         total = np.zeros(size)
-        conns = self._inbound[target]
-        for conn in conns:
-            total += self._conn_output(conn)
+        for wid, sid in reads:
+            total += values[sid] if wid is None else weights[wid] @ values[sid]
         if not math.isfinite(total.sum()):
-            kind = "node" if target in self._node_specs else "ensemble"
+            kind = "ensemble" if target in self.model.ens_index else "node"
+            conns = [c.id for c in self.model.connections if c.target == target]
             raise NonFiniteSignalError(
-                f"non-finite signal into {kind} {target!r} "
-                f"(connections {[c.id for c in conns]})")
+                f"non-finite signal into {kind} {target!r} (connections {conns})")
         return total
-
-    def _update_nodes(self, node_ids):
-        for nid in node_ids:
-            self._values[nid] = self._sum_inbound(nid, self._node_specs[nid].dimensions)
 
     def step(self, inputs):
         """Advance one dt; returns {external-output id: vector}."""
         m = self.model
         dt = self.dt
-        values = self._values
+        weights, values = self._w, self._values
 
         # (1) external inputs, then node values from start-of-step signals
-        for nid in self._inputs_ids:
-            spec = self._node_specs[nid]
+        for nid, dims in self._inputs:
             if nid not in inputs:
                 raise NonFiniteSignalError(f"missing input for node {nid!r}")
             v = np.atleast_1d(np.asarray(inputs[nid], dtype=float))
-            if v.shape != (spec.dimensions,):
+            if v.shape != (dims,):
                 raise NonFiniteSignalError(
-                    f"input for node {nid!r} has shape {v.shape}, "
-                    f"expected ({spec.dimensions},)"
-                )
+                    f"input for node {nid!r} has shape {v.shape}, expected ({dims},)")
             if not np.isfinite(v).all():
                 raise NonFiniteSignalError(f"non-finite input for node {nid!r}")
             values[nid] = v
-        self._update_nodes(self._pre_nodes)
+        for nid, dims, reads in self._pre_nodes:
+            values[nid] = self._drive(nid, dims, reads)
 
         # (2) ensemble currents, then neuron updates; a later ensemble reads
         # an earlier one's new activity
-        for e in m.ensembles:
-            drive = self._sum_inbound(e.id, e.n)
-            J = e.bias + self._gain_over_radius[e.id] * drive
+        for e, gain_over_radius, reads in self._ensembles:
+            J = e.bias + gain_over_radius * self._drive(e.id, e.n, reads)
             if e.neuron_model in RATE_MODELS:
                 Jr = quantize_current(J, m.qspec) if self.fixed else J
                 act = rate(e.neuron_model, Jr, e.params)
@@ -232,19 +222,17 @@ class Simulator:
 
         # (3) synapse filters see the new signals; a learned connection
         # filters activities and applies its weights on the way out
-        for c in self._filtered:
-            x = values[c.source]
-            if not c.learned:
-                x = self._w[c.id] @ x
-            fs = values[c.id]
-            fs *= c.alpha
-            fs += (1.0 - c.alpha) * x
+        for cid, source, alpha, wid in self._filters:
+            x = values[source] if wid is None else weights[wid] @ values[source]
+            fs = values[cid]
+            fs *= alpha
+            fs += (1.0 - alpha) * x
 
         # (4) PES decoder updates from the start-of-step error, then the
         # learned weights from the decoders
-        for c, err in self._learned:
-            u = values[c.error_source] if err is None else self._conn_output(err)
-            a = values[c.id if c.alpha is not None else c.source]
+        for c, (wid, sid), act_id in self._learned:
+            u = values[sid] if wid is None else weights[wid] @ values[sid]
+            a = values[act_id]
             dT = self._live_dT[c.id]
             dT += pes_delta(a, u, c.learning_rate, dt, a.shape[0]).T
             peak = max(dT.max(), -dT.min())
@@ -256,10 +244,11 @@ class Simulator:
             w = dT if c.fold_left is None else c.fold_left @ dT
             if self.fixed:  # when w is dT, its peak is the one just taken
                 w = quantize_weights(w, m.qspec, peak if w is dT else None)[0]
-            self._w[c.id] = w
+            weights[c.id] = w
 
         # (5) outputs and probes from post-update state
-        self._update_nodes(self._post_nodes)
+        for nid, dims, reads in self._post_nodes:
+            values[nid] = self._drive(nid, dims, reads)
         self.step_index += 1
         self.t = self.step_index * dt
         self._record_probes()
@@ -275,16 +264,19 @@ class Simulator:
             else:  # a node's value or an ensemble's filtered activity
                 signal = values[p.target]
             if p.alpha is not None:
-                values[p.id] = p.alpha * values[p.id] + (1.0 - p.alpha) * signal
-                signal = values[p.id]
+                fs = values[p.id]
+                fs *= p.alpha
+                fs += (1.0 - p.alpha) * signal
+                signal = fs
             if self.step_index % p.every_steps == 0:
                 times, rows = self._probe_rows[p.id]
                 times.append(self.t)
                 rows.append(np.array(signal, dtype=float))
 
     def run(self, input_provider, duration):
-        """Step ceil(duration/dt) times; the provider is called before each
-        step as provider(t, previous_outputs) and must return the inputs map.
+        """Step duration/dt times (ValueError unless that is a whole number);
+        the provider is called before each step as
+        provider(t, previous_outputs) and must return the inputs map.
 
         Returns {probe id: ProbeTable}.
         """

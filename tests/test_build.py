@@ -3,9 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from nefsim import build
 from nefsim import graph as gr
 from nefsim.build import (
+    DEFAULT_REG,
     FIXED_POINT,
     REFERENCE,
     activity_matrix,
@@ -144,6 +149,35 @@ class TestSolveDecoders:
         with pytest.raises(SingularSystemError):
             solve_decoders(A, np.ones((10, 1)), reg=0.0)
 
+    @staticmethod
+    @st.composite
+    def systems(draw):
+        """(A, [Y1 | Y2], Y1's column count, reg): nonnegative activities of
+        1-8 neurons at more points than neurons, 1-3 columns in each part."""
+        n = draw(st.integers(1, 8))
+        N = draw(st.integers(n + 1, n + 40))
+        rates = st.one_of(st.just(0.0), st.floats(1e-3, 400.0))
+        A = draw(hnp.arrays(np.float64, (N, n), elements=rates))
+        k1, k2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        Y = draw(hnp.arrays(np.float64, (N, k1 + k2), elements=st.floats(-1.0, 1.0)))
+        return A, Y, k1, draw(st.floats(1e-3, 1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(system=systems())
+    def test_optimal_and_column_separable_on_generated_systems(self, system):
+        A, Y, k1, reg = system
+        assume(A.max() > 0)  # else sigma = 0: the singular case above
+        d = solve_decoders(A, Y, reg)
+        sigma = reg * A.max()
+        grad = (2.0 / A.shape[0]) * (A.T @ (A @ d - Y)) + 2.0 * sigma ** 2 * d
+        assert np.linalg.norm(grad) <= 1e-6 * np.linalg.norm(A.T @ Y)
+        # Stacking targets only adds right-hand sides.  The forward error of
+        # each solve is about cond(G) * eps, and cond(G) <= 1 + n / reg^2
+        # <= 8e6 here, so 1e-6 leaves a margin of over 500.
+        apart = np.hstack([solve_decoders(A, Y[:, :k1], reg),
+                           solve_decoders(A, Y[:, k1:], reg)])
+        assert np.linalg.norm(d - apart) <= 1e-6 * np.linalg.norm(apart)
+
 
 class TestFoldWeights:
     def test_scalar_chain(self):
@@ -232,6 +266,46 @@ class TestCompile:
         assert before.keys() == after.keys()
         for key in before:
             assert np.array_equal(before[key], after[key]), key
+
+    @staticmethod
+    def decoded_graph():
+        """One 1-d rate-LIF ensemble read by two decoded connections (identity
+        and square) and a decoded probe."""
+        g = gr.ModelGraph(dt=0.001)
+        g.register_function("square", lambda v: v ** 2)
+        g.add_ensemble(gr.Ensemble("ens", n_neurons=40, dimensions=1,
+                                   neuron_model="rate_lif", seed=1,
+                                   intercept_range=(0.9, 0.99)))
+        g.add_node(gr.NodeSpec("out", 1))
+        g.connect(gr.ConnectionSpec("decode", "ens", "out"))
+        g.add_probe(gr.ProbeSpec("p", "ens", gr.DECODED_OUTPUT))
+        return g
+
+    def test_one_decoder_solve_per_source_ensemble(self, monkeypatch):
+        g = self.decoded_graph()
+        g.add_node(gr.NodeSpec("out2", 1))
+        g.connect(gr.ConnectionSpec("decode2", "ens", "out2", function_tag="square"))
+        calls = []
+        solve = build.solve_decoders
+        monkeypatch.setattr(build, "solve_decoders",
+                            lambda A, Y, reg: calls.append(Y.shape) or solve(A, Y, reg))
+        pts = np.linspace(-1.0, 1.0, 101)[:, None]
+        model = compile_graph(g, seed=0, eval_points={"ens": pts})
+        assert calls == [(101, 3)]
+        # each part matches its own solve (tolerance as in the property test)
+        A = activity_matrix(model.ensemble("ens"), pts)
+        decoders = {c.id: c.weights.T for c in model.connections}
+        decoders["p"] = model.ensemble("ens").identity_decoders
+        for part, Y in (("decode", pts), ("decode2", pts ** 2), ("p", pts)):
+            alone = solve(A, Y, DEFAULT_REG)
+            assert np.linalg.norm(decoders[part] - alone) <= 1e-6 * np.linalg.norm(alone)
+
+    def test_singular_solve_names_the_ensemble(self):
+        # intercepts above every eval point: all activities are zero
+        pts = np.linspace(-0.5, 0.5, 50)[:, None]
+        with pytest.raises(BuildError, match="ensemble 'ens'.*'decode'"):
+            compile_graph(self.decoded_graph(), seed=0, reg=0.0,
+                          eval_points={"ens": pts})
 
     def test_invalid_graph_rejected(self):
         g = gr.ModelGraph()

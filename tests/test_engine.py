@@ -214,6 +214,22 @@ class TestLearning:
         g.connection("c_learn").learning.error_source = "c_err"
         assert settled_relative_error(g, backend) <= 0.1
 
+    @pytest.mark.parametrize("backend", [REFERENCE, FIXED_POINT])
+    def test_output_error_node_learns_like_a_passthrough_one(self, backend):
+        # a PES rule reads its error node's start-of-step value also when the
+        # node is an external output; the varying target would show a stale one
+        def outputs(kind):
+            g = learning_graph(n_neurons=50)
+            g.node("err").kind = kind
+            sim = Simulator(compile_graph(g, backend=backend, seed=0))
+            return np.array([
+                sim.step({"stim": (0.4, 0.1), "target": (0.3 * np.cos(0.01 * i), -0.2)})["out"]
+                for i in range(300)])
+
+        passthrough = outputs(gr.PASSTHROUGH)
+        assert np.all(passthrough[-1] != 0.0)
+        assert np.array_equal(outputs(gr.EXTERNAL_OUTPUT), passthrough)
+
     def test_divergence_guard(self):
         g = learning_graph(n_neurons=50, kappa=1e6)
         sim = Simulator(compile_graph(g, seed=0))

@@ -11,11 +11,11 @@ bench.  Output is one "<sha256>  <run>/<file>" line per CSV and
 per run's effective_config.txt, in run order; then one line for the engine
 run, which steps `engine_graph()` on both backends in its own one-BLAS-thread
 process and hashes every step's outputs and every probe table, before and
-after `Simulator.reset()` (no CLI run reaches a PES error connection, an
-unfiltered or non-identity learned connection, or a probe); then one line each
-for the all-defaults effective config (`RunConfig().render_effective()`) and
-the key listing of `--help` (`config_reference()`), so two checkouts compare
-with a plain diff.  A run that fails stops the tool with its exit code and
+after `Simulator.reset()` (no CLI run reaches a PES error connection or
+output node, an unfiltered or non-identity learned connection, or a probe);
+then one line each for the all-defaults effective config
+(`RunConfig().render_effective()`) and the key listing of `--help`
+(`config_reference()`), so two checkouts compare with a plain diff.  A run that fails stops the tool with its exit code and
 stderr.
 """
 
@@ -64,17 +64,19 @@ def sha256(data):
 
 def engine_graph():
     """Every kind of engine signal on a few dozen neurons of each model: a
-    PES readout through a non-identity transform with an error node, an
-    unfiltered one whose error is a filtered connection's output, ensemble
-    chains read filtered and unfiltered, a filtered passthrough chain, and
-    every probe quantity, filtered and not, sampled every step and sparser."""
+    PES readout through a non-identity transform with a passthrough error
+    node, an unfiltered one whose error is a filtered connection's output, one
+    whose error node is an external output, ensemble chains read filtered and
+    unfiltered, a filtered passthrough chain, a passthrough node nothing
+    reads, and every probe quantity, filtered and not, sampled every step and
+    sparser."""
     g = gr.ModelGraph(dt=0.001)
     g.register_function("zero_out", lambda v: np.zeros(2))
     for nid, kind in (("stim", gr.EXTERNAL_INPUT), ("target", gr.EXTERNAL_INPUT),
                       ("decoded", gr.PASSTHROUGH), ("err", gr.PASSTHROUGH),
                       ("sink", gr.PASSTHROUGH), ("decoded2", gr.PASSTHROUGH),
                       ("mid", gr.PASSTHROUGH), ("out", gr.EXTERNAL_OUTPUT),
-                      ("out2", gr.EXTERNAL_OUTPUT)):
+                      ("out2", gr.EXTERNAL_OUTPUT), ("err_out", gr.EXTERNAL_OUTPUT)):
         g.add_node(gr.NodeSpec(nid, 2, kind))
     for i, model in enumerate(("lif", "spiking_rectified_linear",
                                "rate_rectified_linear", "rate_lif")):
@@ -99,6 +101,9 @@ def engine_graph():
             learning=gr.PESConfig(5e-3, "c_err"))
     connect("c_mid", "decoded2", "mid", 0.01)
     connect("c_out2", "mid", "out2", 0.01)
+    connect("c_learn3", "e1", "err_out", 0.005, function_tag="zero_out",
+            learning=gr.PESConfig(2e-2, "err_out"))
+    connect("c_tgt3", "target", "err_out", None, transform=-np.eye(2))
     for pid, target, quantity, tau, every in (
         ("p_e0", "e0", gr.DECODED_OUTPUT, 0.01, None),
         ("p_mid", "mid", gr.DECODED_OUTPUT, None, None),
@@ -118,7 +123,7 @@ def engine_digest():
     def provider(t, outputs):
         for nid in sorted(outputs):
             h.update(outputs[nid].tobytes())
-        return {"stim": (np.sin(7 * t), np.cos(5 * t)), "target": (0.3, -0.2)}
+        return {"stim": (np.sin(7 * t), np.cos(5 * t)), "target": (0.3 * np.cos(3 * t), -0.2)}
 
     for backend in (REFERENCE, FIXED_POINT):
         sim = Simulator(compile_graph(engine_graph(), backend=backend, seed=1))
