@@ -158,7 +158,6 @@ class CompiledConnection:
     id: str
     source: str
     target: str
-    target_is_ensemble: bool
     weights: np.ndarray            # folded matrix, target units x source units
     alpha: float | None            # filter coefficient exp(-dt/tau), None = unfiltered
     quantized_weights: np.ndarray | None = None
@@ -179,7 +178,6 @@ class CompiledConnection:
 class CompiledProbe:
     id: str
     target: str
-    target_is_ensemble: bool
     quantity: str
     alpha: float | None
     every_steps: int
@@ -323,10 +321,10 @@ def _build(graph: gr.ModelGraph, seed, reg, eval_points) -> CompiledModel:
 
     compiled_conns = []
     for conn in graph.connections:
-        tgt_is_ens = conn.target in graph._ensembles
         T = conn.transform
         alpha = None if conn.synapse is None else float(np.exp(-graph.dt / conn.synapse))
-        tgt_enc = compiled_ens[ens_index[conn.target]].encoders if tgt_is_ens else None
+        tgt = ens_index.get(conn.target)
+        tgt_enc = None if tgt is None else compiled_ens[tgt].encoders
 
         if conn.source in graph._ensembles:
             src = compiled_ens[ens_index[conn.source]]
@@ -343,7 +341,6 @@ def _build(graph: gr.ModelGraph, seed, reg, eval_points) -> CompiledModel:
 
         cc = CompiledConnection(
             id=conn.id, source=conn.source, target=conn.target,
-            target_is_ensemble=tgt_is_ens,
             weights=W, alpha=alpha,
         )
         if conn.learning is not None:
@@ -366,8 +363,7 @@ def _build(graph: gr.ModelGraph, seed, reg, eval_points) -> CompiledModel:
             tau = None
         every = 1 if p.sample_every is None else int(round(p.sample_every / graph.dt))
         compiled_probes.append(CompiledProbe(
-            id=p.id, target=p.target, target_is_ensemble=p.target in graph._ensembles,
-            quantity=p.quantity,
+            id=p.id, target=p.target, quantity=p.quantity,
             alpha=None if tau is None else float(np.exp(-graph.dt / tau)),
             every_steps=every,
         ))

@@ -53,7 +53,7 @@ class DenseNetSpec:
         return len(self.sizes) - 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConversionConfig:
     """Conversion settings; fields with metadata are `[convert]` config keys."""
     scale_firing_rates: float = field(default=400.0, metadata=dict(
@@ -70,7 +70,7 @@ class ConversionConfig:
     neuron_params: NeuronParams = NeuronParams()
     qspec: QuantizationSpec = QuantizationSpec()
 
-    def validate(self):
+    def __post_init__(self):
         if not self.scale_firing_rates > 0:
             raise ValueError("scale_firing_rates must be > 0")
         if self.presentation_time < 10.0 * self.output_tau:
@@ -107,7 +107,6 @@ def convert(net: DenseNetSpec, cfg: ConversionConfig):
     bias node id (feed 1.0 there each step), and the output node id.
     """
     net.validate()
-    cfg.validate()
     s = cfg.scale_firing_rates
     g = gr.ModelGraph(dt=cfg.dt, neuron_params=cfg.neuron_params)
     g.add_node(gr.NodeSpec("x_in", net.sizes[0], gr.EXTERNAL_INPUT))

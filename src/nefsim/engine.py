@@ -6,25 +6,27 @@ Order within a step:
    output node that a PES rule reads as its error is computed from them and
    the *previous* step's filtered/raw presynaptic signals (within-step
    node-to-node chains resolve in dependency order);
-2. ensemble input currents are assembled from the same connection outputs
-   and the neurons advance, emitting spikes scaled to counts/dt (Hz);
-3. every synapse filter updates with the new signal, y <- a*y + (1-a)*x;
+2. ensemble input currents are assembled from the same connection outputs,
+   checked finite, and the neurons advance, emitting spikes as counts/dt (Hz);
+3. every connection's filter updates with the new signal, y <- a*y + (1-a)*x;
 4. PES updates (``pes_delta``) run on the freshly filtered activities, using
    the error from step 1 (one-step-delayed error): an error node's value or
    an error connection's output.  A learned connection's decoders are its
    only PES-updated state; after each update its weight-table entry is
    re-derived from them (folded through ``fold_left``, and requantized once
    on the fixed backend);
-5. outputs and probes are populated from the post-update states.
+5. outputs are computed from the post-update states, then every probe's
+   filter advances and each probe due records its read.
 
 Every connection multiplies by its entry in one weight table: the compiled
 quantized weights on the fixed backend, the float weights on the reference
-one.  Every signal lives in one table keyed by graph id: an ensemble's
-activity, a node's value, a filtered connection's or probe's filter state.
-Every connection and PES error is read one way, fixed when the simulator is
-built: a read (weights id or None, signal id) outputs
-``_w[weights id] @ values[signal id]``, or the signal itself for None.
-``reset()`` restores the compiled weights and zeroes the signals.
+one; a probe of an ensemble's decoded output by its identity decoders.
+Every signal lives in one table keyed by graph id: an ensemble's activity
+and spike counts, a node's value, a filter's state.  Every connection, PES
+error and probe is read one way, fixed when the simulator is built: a read
+(weights id or None, signal id) outputs ``_w[weights id] @ values[signal
+id]``, or the signal itself for None; a filter is a (state id, alpha, read)
+entry.  ``reset()`` restores the compiled weights and zeroes the signals.
 
 Everything is deterministic given (model, state, inputs); no randomness and
 no parallelism-dependent reductions live here.
@@ -112,9 +114,29 @@ class Simulator:
                         if n.kind == gr.EXTERNAL_INPUT]
         self._output_ids = [n.id for n in model.nodes if n.kind == gr.EXTERNAL_OUTPUT]
         self._ensembles = [(e, e.gain / e.radius, inbound[e.id]) for e in model.ensembles]
-        # (id, source, alpha, weights id or None) of every filtered connection
-        self._filters = [(c.id, c.source, c.alpha, None if c.learned else c.id)
+        # the matrix each connection (and decoded ensemble probe) multiplies by
+        self._compiled_w = {c.id: c.quantized_weights if self.fixed else c.weights
+                            for c in model.connections}
+        # (state id, alpha, read) of every filtered connection; a learned one
+        # filters activities and applies its weights on the way out
+        self._filters = [(c.id, c.alpha, (None if c.learned else c.id, c.source))
                          for c in model.connections if c.alpha is not None]
+        # (probe id, every_steps, read) of every probe, and (state id, alpha,
+        # read) of every filtered one, whose own read is its filter state
+        self._probe_filters, self._probes = [], []
+        for p in model.probes:
+            if p.quantity == gr.SPIKE_RASTER:
+                r = (None, (p.target, gr.SPIKE_RASTER))
+            elif p.quantity == gr.DECODED_OUTPUT and p.target in model.ens_index:
+                # a view, not a copy: D.T @ a then has the bits of a @ D
+                self._compiled_w[p.id] = model.ensemble(p.target).identity_decoders.T
+                r = (p.id, p.target)
+            else:
+                r = (None, p.target)
+            if p.alpha is not None:
+                self._probe_filters.append((p.id, p.alpha, r))
+                r = (None, p.id)
+            self._probes.append((p.id, p.every_steps, r))
         # (learned connection, its error's read, the id of the activities it
         # learns from); an error node is read as (None, node id)
         self._learned = [(c, read.get(c.error_source, (None, c.error_source)),
@@ -129,20 +151,13 @@ class Simulator:
         errors = {c.error_source for c in model.connections if c.learned}
         self._pre_nodes = [t for t in self._post_nodes
                            if specs[t[0]].kind == gr.PASSTHROUGH or t[0] in errors]
-        # (id, size) of every signal reset() zeroes: ensemble activities and
-        # the filter states of filtered connections and probes
-        self._zeroed = [(e.id, e.n) for e in model.ensembles]
-        self._zeroed += [(c.id, (c.decoders if c.learned else c.weights).shape[0])
-                         for c in model.connections if c.alpha is not None]
-        for p in model.probes:
-            if p.alpha is None:
-                continue
-            if not p.target_is_ensemble:
-                size = specs[p.target].dimensions
-            else:
-                e = model.ensemble(p.target)
-                size = e.dims if p.quantity == gr.DECODED_OUTPUT else e.n
-            self._zeroed.append((p.id, size))
+        # the size of every signal reset() zeroes: ensemble activities and
+        # spike counts, node values, and filter states as long as their read
+        size = self._sizes = {n.id: n.dimensions for n in model.nodes}
+        for e in model.ensembles:
+            size[e.id] = size[e.id, gr.SPIKE_RASTER] = e.n
+        for fid, _, (wid, sid) in self._filters + self._probe_filters:
+            size[fid] = size[sid] if wid is None else self._compiled_w[wid].shape[0]
         self.reset()
 
     # -- state ------------------------------------------------------------
@@ -151,31 +166,29 @@ class Simulator:
         self.t = 0.0
         self.step_index = 0
         self._neuron_state = {e.id: SpikingState(e.n) for e in m.ensembles if e.spiking}
-        # one signal table keyed by graph id: ensemble activities (Hz), node
-        # values, and the filter states of filtered connections and probes
-        self._values = {sid: np.zeros(size) for sid, size in self._zeroed}
-        # the matrix each connection multiplies by; a learned connection's
-        # entry is replaced after each PES update
-        self._w = {c.id: c.quantized_weights if self.fixed else c.weights
-                   for c in m.connections}
+        # one signal table keyed by graph id, spike counts by (id, SPIKE_RASTER)
+        self._values = {sid: np.zeros(n) for sid, n in self._sizes.items()}
+        # a learned connection's weights are replaced after each PES update
+        self._w = dict(self._compiled_w)
         # decoders^T (k, n), C-contiguous so that dT @ a is one BLAS call
         self._live_dT = {c.id: c.decoders.T.copy() for c, _, _ in self._learned}
         self._probe_rows = {p.id: ([], []) for p in m.probes}
-        self._spikes = {e.id: np.zeros(e.n) for e in m.ensembles}
 
     def last_activity(self, ens_id):
         """Most recent per-neuron activity (Hz) of an ensemble."""
         return self._values[ens_id]
 
     # -- stepping -----------------------------------------------------------
-    def _drive(self, target, size, reads):
-        """Sum of the reads into a node or ensemble, checked finite."""
+    def _drive(self, target, size, reads, gain=None, bias=None):
+        """Sum of the reads into a node (or an ensemble's current), checked finite."""
         weights, values = self._w, self._values
         total = np.zeros(size)
         for wid, sid in reads:
             total += values[sid] if wid is None else weights[wid] @ values[sid]
+        if gain is not None:
+            total = bias + gain * total
         if not math.isfinite(total.sum()):
-            kind = "ensemble" if target in self.model.ens_index else "node"
+            kind = "node" if gain is None else "ensemble"
             conns = [c.id for c in self.model.connections if c.target == target]
             raise NonFiniteSignalError(
                 f"non-finite signal into {kind} {target!r} (connections {conns})")
@@ -204,11 +217,11 @@ class Simulator:
         # (2) ensemble currents, then neuron updates; a later ensemble reads
         # an earlier one's new activity
         for e, gain_over_radius, reads in self._ensembles:
-            J = e.bias + gain_over_radius * self._drive(e.id, e.n, reads)
+            J = self._drive(e.id, e.n, reads, gain_over_radius, e.bias)
             if e.neuron_model in RATE_MODELS:
                 Jr = quantize_current(J, m.qspec) if self.fixed else J
                 act = rate(e.neuron_model, Jr, e.params)
-                self._spikes[e.id] = act * dt  # pseudo-counts for raster probes
+                spikes = act * dt  # pseudo-counts for raster probes
             else:
                 state = self._neuron_state[e.id]
                 if self.fixed:
@@ -216,17 +229,12 @@ class Simulator:
                                                     m.qspec, e.neuron_model)
                 else:
                     spikes = step_spiking(state, J, dt, e.params, e.neuron_model)
-                self._spikes[e.id] = spikes
                 act = spikes / dt
             values[e.id] = act
+            values[e.id, gr.SPIKE_RASTER] = spikes
 
-        # (3) synapse filters see the new signals; a learned connection
-        # filters activities and applies its weights on the way out
-        for cid, source, alpha, wid in self._filters:
-            x = values[source] if wid is None else weights[wid] @ values[source]
-            fs = values[cid]
-            fs *= alpha
-            fs += (1.0 - alpha) * x
+        # (3) connection filters see the new signals
+        self._filter(self._filters)
 
         # (4) PES decoder updates from the start-of-step error, then the
         # learned weights from the decoders
@@ -251,27 +259,23 @@ class Simulator:
             values[nid] = self._drive(nid, dims, reads)
         self.step_index += 1
         self.t = self.step_index * dt
-        self._record_probes()
+        self._filter(self._probe_filters)
+        for pid, every, (wid, sid) in self._probes:
+            if self.step_index % every == 0:
+                times, rows = self._probe_rows[pid]
+                times.append(self.t)
+                rows.append(values[sid].copy() if wid is None
+                            else weights[wid] @ values[sid])
         return {nid: values[nid] for nid in self._output_ids}
 
-    def _record_probes(self):
-        values = self._values
-        for p in self.model.probes:
-            if p.quantity == gr.DECODED_OUTPUT and p.target_is_ensemble:
-                signal = values[p.target] @ self.model.ensemble(p.target).identity_decoders
-            elif p.quantity == gr.SPIKE_RASTER:
-                signal = self._spikes[p.target]
-            else:  # a node's value or an ensemble's filtered activity
-                signal = values[p.target]
-            if p.alpha is not None:
-                fs = values[p.id]
-                fs *= p.alpha
-                fs += (1.0 - p.alpha) * signal
-                signal = fs
-            if self.step_index % p.every_steps == 0:
-                times, rows = self._probe_rows[p.id]
-                times.append(self.t)
-                rows.append(np.array(signal, dtype=float))
+    def _filter(self, filters):
+        """Advance (state id, alpha, read) filters: y <- a*y + (1-a)*read."""
+        weights, values = self._w, self._values
+        for fid, alpha, (wid, sid) in filters:
+            x = values[sid] if wid is None else weights[wid] @ values[sid]
+            fs = values[fid]
+            fs *= alpha
+            fs += (1.0 - alpha) * x
 
     def run(self, input_provider, duration):
         """Step duration/dt times (ValueError unless that is a whole number);

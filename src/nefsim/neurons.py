@@ -196,12 +196,22 @@ def quantize_current(J, qspec: QuantizationSpec):
     Weight matrices share one exponent (quantize_weights); currents cannot,
     because per-neuron gains span orders of magnitude within an ensemble and
     a shared grid would zero the low-gain neurons' entire operating range.
+
+    A value that would round past the largest double saturates, sign kept,
+    at the largest finite multiple of its grid step, as a hardware register
+    does; a subnormal J whose |J|/mantissa_max underflows flushes to 0.
     """
     J = np.asarray(J, dtype=float)
     # exact ceil(log2(|J|/mantissa_max)) via frexp: t = m * 2**E, m in [0.5, 1)
     mant, expo = np.frexp(np.abs(J) / qspec.mantissa_max)
     expo -= mant == 0.5
     out = np.rint(np.ldexp(J, -expo))  # exact: scaling by a power of two
+    if expo.max() > 1025 - qspec.weight_mantissa_bits:
+        # |out| < 2**(bits-1): only here can out * 2**expo overflow.  A 2-bit
+        # grid's step 2**1024 has no finite multiple but 0; 2**1023 stands in.
+        expo = np.minimum(expo, 1023)
+        top = np.floor(np.ldexp(np.finfo(float).max, -np.maximum(expo, 0)))
+        out = np.clip(np.rint(np.ldexp(J, -expo)), -top, top)
     return np.ldexp(out, expo) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
@@ -215,18 +225,14 @@ class SpikingState:
         self.refractory = np.zeros(n)
         self._scratch = np.empty(n)
 
-    def reset(self):
-        self.v[:] = 0.0
-        self.refractory[:] = 0.0
 
-
-def _step_lif(state, J, dt, params, grid=None, state_max=None):
+def _step_lif(state, J, dt, params, qspec=None):
     """One dt of LIF dynamics with fractional spike/refractory timing.
 
     The voltage follows the zero-order-hold solution of tau_rc*v' = J - v over
     the part of the step outside refractory; threshold crossings are placed at
     their sub-step time so the long-run spike rate matches lif_rate(J).
-    When `grid` is given the voltage is rounded onto it after each update
+    With `qspec` the voltage is rounded onto its state grid after each update
     (integer-state emulation).
     """
     v, refractory, factor = state.v, state.refractory, state._scratch
@@ -239,10 +245,10 @@ def _step_lif(state, J, dt, params, grid=None, state_max=None):
     factor *= v - J  # = (J - v) * (1 - exp(-delta_t/tau_rc))
     v += factor
     np.maximum(v, 0.0, out=v)  # clamp below at 0
-    if grid is not None:
-        np.rint(np.divide(v, grid, out=v), out=v)  # grid: a power of two
-        v *= grid
-        np.minimum(v, state_max, out=v)
+    if qspec is not None:
+        np.rint(np.divide(v, qspec.state_grid, out=v), out=v)  # grid: a power of two
+        v *= qspec.state_grid
+        np.minimum(v, qspec.state_max, out=v)
     spiked = v >= 1.0 - _SPIKE_EPS
     idx = spiked.nonzero()[0]
     if idx.size:
@@ -257,42 +263,40 @@ def _step_lif(state, J, dt, params, grid=None, state_max=None):
     return spiked.astype(float)
 
 
-def _step_relu(state, J, dt, params, grid=None, state_max=None):
+def _step_relu(state, J, dt, params, qspec=None):
     """One dt of spiking rectified-linear dynamics (soft reset)."""
     v = state.v
     inc = dt * params.amplitude * np.maximum(J, 0.0)
     v += inc
-    if grid is not None:
-        np.rint(np.divide(v, grid, out=v), out=v)  # grid: a power of two
-        v *= grid
-        np.minimum(v, state_max, out=v)
+    if qspec is not None:
+        np.rint(np.divide(v, qspec.state_grid, out=v), out=v)  # grid: a power of two
+        v *= qspec.state_grid
+        np.minimum(v, qspec.state_max, out=v)
     spikes = np.where(v >= 1.0 - _SPIKE_EPS, np.floor(v + _SPIKE_EPS), 0.0)
     v -= spikes
     np.maximum(v, 0.0, out=v)
     return spikes
 
 
+def _step_spiking(state, J, dt, params, model, qspec=None):
+    """The spiking-model dispatch; with `qspec`, v lives on its state grid."""
+    if model == LIF:
+        return _step_lif(state, J, dt, params, qspec)
+    if model == SPIKING_RELU:
+        return _step_relu(state, J, dt, params, qspec)
+    raise ValueError(f"{model!r} is not a spiking model")
+
+
 def step_spiking(state: SpikingState, J, dt, params: NeuronParams, model):
     """Advance spiking neurons one step; returns per-neuron spike counts."""
-    J = np.asarray(J, dtype=float)
-    if model == LIF:
-        return _step_lif(state, J, dt, params)
-    if model == SPIKING_RELU:
-        return _step_relu(state, J, dt, params)
-    raise ValueError(f"{model!r} is not a spiking model")
+    return _step_spiking(state, np.asarray(J, dtype=float), dt, params, model)
 
 
 def step_spiking_quantized(state: SpikingState, J, dt, params: NeuronParams,
                            qspec: QuantizationSpec, model):
     """Fixed-point variant: currents on the mantissa grid, voltage on the
     state grid.  Otherwise identical dynamics to step_spiking."""
-    Jq = quantize_current(J, qspec)
-    grid, vmax = qspec.state_grid, qspec.state_max
-    if model == LIF:
-        return _step_lif(state, Jq, dt, params, grid=grid, state_max=vmax)
-    if model == SPIKING_RELU:
-        return _step_relu(state, Jq, dt, params, grid=grid, state_max=vmax)
-    raise ValueError(f"{model!r} is not a spiking model")
+    return _step_spiking(state, quantize_current(J, qspec), dt, params, model, qspec)
 
 
 def measured_rate_curve(J_points, dt, params: NeuronParams, model,
@@ -301,22 +305,19 @@ def measured_rate_curve(J_points, dt, params: NeuronParams, model,
     """Steady-state firing rate at each current, measured by simulation.
 
     Each point is an independent constant-current run (they are stepped
-    together for speed but share no state).  With `qspec` the quantized
-    stepper is used and each run quantizes its own constant current, so the
-    returned curve is the fixed-point staircase.
+    together for speed but share no state).  With `qspec` each constant
+    current is quantized once and the voltage steps on the state grid, as in
+    step_spiking_quantized: the curve is the fixed-point staircase.
     """
     J = np.asarray(J_points, dtype=float)
+    if qspec is not None:
+        J = quantize_current(J, qspec)
     state = SpikingState(J.size)
     n_settle = int(round(settle / dt))
     n_window = int(round(window / dt))
-    step = (
-        (lambda: step_spiking(state, J, dt, params, model))
-        if qspec is None
-        else (lambda: step_spiking_quantized(state, J, dt, params, qspec, model))
-    )
     for _ in range(n_settle):
-        step()
+        _step_spiking(state, J, dt, params, model, qspec)
     counts = np.zeros(J.size)
     for _ in range(n_window):
-        counts += step()
+        counts += _step_spiking(state, J, dt, params, model, qspec)
     return counts / (n_window * dt)

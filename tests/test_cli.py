@@ -232,16 +232,22 @@ class TestNeuronKeys:
         assert outs[0] != outs[1]
 
     @pytest.mark.parametrize("command,cfg_text,override,message", [
-        ("tune", FAST_TUNE, "tau_rc = -0.02", "tau_rc must be > 0"),
-        ("solve", FAST_SOLVE, "tau_rc = 0", "tau_rc must be > 0"),
-        ("convert", FAST_CONVERT + "[neurons]\n", "amplitude = -1", "amplitude must be > 0"),
-    ], ids=["tune-negative-tau_rc", "solve-zero-tau_rc", "convert-negative-amplitude"])
+        ("tune", FAST_TUNE, "tau_rc = -0.02", "[neurons] tau_rc must be > 0"),
+        ("solve", FAST_SOLVE, "tau_rc = 0", "[neurons] tau_rc must be > 0"),
+        ("convert", FAST_CONVERT + "[neurons]\n", "amplitude = -1",
+         "[neurons] amplitude must be > 0"),
+        ("convert", FAST_CONVERT, "scale_firing_rates = 0",
+         "[convert] scale_firing_rates must be > 0"),
+        ("convert", "[convert]\nn_inputs = 3\nlayers = 4 6 2\n", "presentation_time = 0.05",
+         "[convert] presentation_time must cover >= 10 output taus"),
+    ], ids=["tune-negative-tau_rc", "solve-zero-tau_rc", "convert-negative-amplitude",
+            "convert-zero-scale_firing_rates", "convert-short-presentation_time"])
     def test_invalid_value_exits_1(self, tmp_path, capsys, command, cfg_text,
                                    override, message):
         cfg = write_cfg(tmp_path, cfg_text + override + "\n")
         out = tmp_path / "out"
         assert run([command, "--config", cfg, "--seed", "1", "--out", str(out)]) == 1
-        assert f"error: [neurons] {message}\n" in capsys.readouterr().err
+        assert f"error: {message}\n" in capsys.readouterr().err
         assert not any(out.glob("*"))
 
 

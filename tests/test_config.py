@@ -135,7 +135,9 @@ class TestDataclasses:
         (section, key) for section in SCHEMA for key in sorted(SCHEMA[section])])
     def test_override_changes_exactly_its_fields(self, section, key):
         spec = SCHEMA[section][key]
-        if spec.type is bool:
+        if (section, key) == ("convert", "output_tau"):
+            value = 0.02  # + 1 would break presentation_time >= 10 output taus
+        elif spec.type is bool:
             value = not spec.default
         elif spec.type is str:
             value = spec.default + "x"

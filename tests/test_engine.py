@@ -99,6 +99,14 @@ class TestStep:
         with pytest.raises(NonFiniteSignalError):
             sim.step({"in": (float("nan"),)})
 
+    @pytest.mark.parametrize("backend", [REFERENCE, FIXED_POINT])
+    def test_huge_finite_input_rejected(self, backend):
+        # the input is finite, but the current gain * input is not
+        sim = Simulator(compile_graph(channel_graph(n_neurons=20), backend=backend, seed=0))
+        with pytest.raises(NonFiniteSignalError, match="ensemble 'ens'"):
+            for _ in range(3):
+                sim.step({"in": (1e307,)})
+
     def test_bit_identical_reruns(self):
         def run_once():
             g = channel_graph(n_neurons=80)
@@ -167,6 +175,36 @@ class TestRun:
         expected = lif_rate(J, ens.params)
         tol = np.maximum(2.0, 0.05 * expected)
         assert np.all(np.abs(counts - expected) <= tol)
+
+
+class TestProbes:
+    @pytest.mark.parametrize("backend", [REFERENCE, FIXED_POINT])
+    def test_unfiltered_probes_record_their_signal(self, backend):
+        # a decoded-output probe records the activity through the identity
+        # decoders; a raster probe on a rate ensemble its pseudo-counts
+        g = channel_graph(n_neurons=30, seed=2)
+        g.add_ensemble(gr.Ensemble("rate", n_neurons=25, dimensions=1,
+                                   neuron_model="rate_lif", seed=3))
+        g.connect(gr.ConnectionSpec("c_rate", "in", "rate"))
+        g.add_probe(gr.ProbeSpec("dec", "ens", gr.DECODED_OUTPUT, sample_every=0.002))
+        g.add_probe(gr.ProbeSpec("dec_rate", "rate", gr.DECODED_OUTPUT, sample_every=0.003))
+        g.add_probe(gr.ProbeSpec("raster", "rate", gr.SPIKE_RASTER))
+        sim = Simulator(compile_graph(g, backend=backend, seed=0))
+        expected = {"dec": ([], []), "dec_rate": ([], []), "raster": ([], [])}
+        for i in range(1, 61):
+            sim.step({"in": (np.sin(0.1 * i),)})
+            for pid, eid, every in (("dec", "ens", 2), ("dec_rate", "rate", 3)):
+                if i % every == 0:
+                    expected[pid][0].append(sim.t)
+                    expected[pid][1].append(
+                        sim.last_activity(eid) @ sim.model.ensemble(eid).identity_decoders)
+            expected["raster"][0].append(sim.t)
+            expected["raster"][1].append(sim.last_activity("rate") * sim.dt)
+        tables = sim.probe_tables()
+        assert np.any(tables["dec"].values != 0.0)
+        for pid, (times, rows) in expected.items():
+            assert tables[pid].times.tobytes() == np.array(times).tobytes(), pid
+            assert tables[pid].values.tobytes() == np.array(rows).tobytes(), pid
 
 
 class TestFilters:

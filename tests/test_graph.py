@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nefsim import graph as gr
 from nefsim.errors import (
@@ -136,27 +138,43 @@ class TestValidation:
         assert any(d.code == "CyclicNodes" for d in g.validate())
 
 
-class TestCanonicalForm:
-    def test_order_independence(self):
-        def build(order):
-            g = gr.ModelGraph()
-            parts = {
-                "n_in": lambda: g.add_node(gr.NodeSpec("in", 1, gr.EXTERNAL_INPUT)),
-                "n_out": lambda: g.add_node(gr.NodeSpec("out", 1, gr.EXTERNAL_OUTPUT)),
-                "e_a": lambda: g.add_ensemble(gr.Ensemble("a", 30, 1)),
-                "e_b": lambda: g.add_ensemble(gr.Ensemble("b", 30, 1)),
-            }
-            for name in order:
-                parts[name]()
-            g.connect(gr.ConnectionSpec("c1", "in", "a"))
-            g.connect(gr.ConnectionSpec("c2", "a", "b", synapse=0.005))
-            g.connect(gr.ConnectionSpec("c3", "b", "out", synapse=0.01))
-            return g
+def build_in_order(pick):
+    """One graph, its parts added in the order `pick` chooses: every
+    ensemble, node, probe and registered function in any order, each
+    connection once its endpoints and function are in (`pick` takes the
+    sorted names of the parts that can be added next)."""
+    g = gr.ModelGraph()
+    parts = {
+        "n_in": ((), lambda: g.add_node(gr.NodeSpec("in", 1, gr.EXTERNAL_INPUT))),
+        "n_mid": ((), lambda: g.add_node(gr.NodeSpec("mid", 1, gr.PASSTHROUGH))),
+        "n_out": ((), lambda: g.add_node(gr.NodeSpec("out", 1, gr.EXTERNAL_OUTPUT))),
+        "e_a": ((), lambda: g.add_ensemble(gr.Ensemble("a", 30, 1))),
+        "e_b": ((), lambda: g.add_ensemble(gr.Ensemble("b", 30, 1, seed=4))),
+        "f_sq": ((), lambda: g.register_function("sq", lambda v: v ** 2)),
+        "f_neg": ((), lambda: g.register_function("neg", lambda v: -v)),
+        "p_a": ((), lambda: g.add_probe(gr.ProbeSpec("pa", "a", gr.SPIKE_RASTER))),
+        "p_out": ((), lambda: g.add_probe(gr.ProbeSpec("pout", "out", synapse=0.01))),
+        "c1": (("n_in", "e_a"), lambda: g.connect(gr.ConnectionSpec("c1", "in", "a"))),
+        "c2": (("e_a", "e_b", "f_sq"), lambda: g.connect(gr.ConnectionSpec(
+            "c2", "a", "b", function_tag="sq", synapse=0.005))),
+        "c3": (("e_b", "n_mid", "f_neg"), lambda: g.connect(gr.ConnectionSpec(
+            "c3", "b", "mid", function_tag="neg", transform=[[2.0]]))),
+        "c4": (("n_mid", "n_out"), lambda: g.connect(gr.ConnectionSpec(
+            "c4", "mid", "out", synapse=0.01))),
+    }
+    while parts:
+        ready = sorted(k for k, (needs, _) in parts.items()
+                       if not any(n in parts for n in needs))
+        parts.pop(pick(ready))[1]()
+    return g
 
-        base = build(["n_in", "n_out", "e_a", "e_b"]).canonical_form()
-        for order in (["e_b", "e_a", "n_out", "n_in"],
-                      ["e_a", "n_in", "e_b", "n_out"]):
-            assert build(order).canonical_form() == base
+
+class TestCanonicalForm:
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_order_independence(self, data):
+        drawn = build_in_order(lambda ready: data.draw(st.sampled_from(ready)))
+        assert drawn.canonical_form() == build_in_order(lambda ready: ready[0]).canonical_form()
 
     def test_different_graphs_differ(self):
         g1 = small_graph()

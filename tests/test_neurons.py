@@ -275,19 +275,25 @@ class TestQuantizeWeights:
         assert e4 > e8
 
 
-# signed values m * 2**k with m in [1, 2), so that neither |x| / mantissa_max
-# nor the rounded result leaves the normal float range; and both zeros
-quantizable = st.one_of(
-    st.sampled_from([0.0, -0.0]),
-    st.builds(lambda sign, m, k: sign * m * 2.0 ** k, st.sampled_from([-1.0, 1.0]),
-              st.floats(1.0, 2.0, exclude_max=True), st.integers(-900, 900)))
+def signed_normals(max_exponent):
+    """Both zeros and signed values m * 2**k, m in [1, 2), -1022 <= k <= max_exponent."""
+    return st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.builds(lambda sign, m, k: sign * m * 2.0 ** k, st.sampled_from([-1.0, 1.0]),
+                  st.floats(1.0, 2.0, exclude_max=True), st.integers(-1022, max_exponent)))
+
+
+# every normal magnitude, up to the largest finite double
+quantizable = signed_normals(1023)
 qspecs = st.builds(QuantizationSpec, weight_mantissa_bits=st.integers(2, 16))
 
 
 class TestQuantizerProperties:
+    # quantize_weights still overflows where a peak rounds up past the
+    # largest double, so its magnitudes stop below 2**901
     @settings(max_examples=300, deadline=None)
     @given(W=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
-                        elements=quantizable),
+                        elements=signed_normals(900)),
            qspec=qspecs)
     def test_weights_round_to_nearest_on_the_minimal_grid(self, W, qspec):
         Wq, e = quantize_weights(W, qspec)
@@ -304,9 +310,20 @@ class TestQuantizerProperties:
     @settings(max_examples=300, deadline=None)
     @given(J=hnp.arrays(np.float64, st.integers(1, 8), elements=quantizable),
            qspec=qspecs)
+    @example(J=np.array([np.finfo(float).max, -1.79e308]), qspec=QuantizationSpec())
+    @example(J=np.array([2.0 ** 1023 - 2.0 ** 970, 2.0 ** 1023, -1.5 * 2.0 ** 1023]),
+             qspec=QuantizationSpec(weight_mantissa_bits=2))
     def test_current_relative_error(self, J, qspec):
-        Jq = quantize_current(J, qspec)
-        nonzero = J != 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow
+            Jq = quantize_current(J, qspec)
+        # only values above the largest the grid holds, mantissa_max times the
+        # coarsest step, can round past the largest double; they saturate
+        top = np.abs(J) > qspec.mantissa_max * 2.0 ** (1025 - qspec.weight_mantissa_bits)
+        assert np.all(np.isfinite(Jq[top]))
+        assert np.all(np.sign(Jq[top]) == np.sign(J[top]))
+        assert np.all(np.abs(Jq[top]) <= np.abs(J[top]))
+        nonzero = (J != 0.0) & ~top
         rel = np.abs(Jq[nonzero] - J[nonzero]) / np.abs(J[nonzero])
         assert np.all(rel < 1.0 / qspec.mantissa_max)
-        assert same_bits(Jq[~nonzero], np.zeros(np.count_nonzero(~nonzero)))  # +0.0
+        assert same_bits(Jq[J == 0.0], np.zeros(np.count_nonzero(J == 0.0)))  # +0.0

@@ -68,8 +68,8 @@ def engine_graph():
     node, an unfiltered one whose error is a filtered connection's output, one
     whose error node is an external output, ensemble chains read filtered and
     unfiltered, a filtered passthrough chain, a passthrough node nothing
-    reads, and every probe quantity, filtered and not, sampled every step and
-    sparser."""
+    reads, and every probe quantity, filtered and not (an ensemble's decoded
+    output both ways), sampled every step and sparser."""
     g = gr.ModelGraph(dt=0.001)
     g.register_function("zero_out", lambda v: np.zeros(2))
     for nid, kind in (("stim", gr.EXTERNAL_INPUT), ("target", gr.EXTERNAL_INPUT),
@@ -106,6 +106,7 @@ def engine_graph():
     connect("c_tgt3", "target", "err_out", None, transform=-np.eye(2))
     for pid, target, quantity, tau, every in (
         ("p_e0", "e0", gr.DECODED_OUTPUT, 0.01, None),
+        ("p_e0_raw", "e0", gr.DECODED_OUTPUT, None, 0.002),
         ("p_mid", "mid", gr.DECODED_OUTPUT, None, None),
         ("p_out2", "out2", gr.DECODED_OUTPUT, 0.01, 0.005),
         ("p_spk1", "e1", gr.SPIKE_RASTER, None, 0.002),
