@@ -1,10 +1,16 @@
-"""Command-line entry point: experiment runners and all file emission.
+"""Command-line entry point: experiment runners and the one output publisher.
 
-Subcommands: tune, solve, convert, arm, rover, bench.  A run writes its CSV
-outputs into the --out directory and nothing anywhere else, and on success
-adds `effective_config.txt`.  CSV floats use repr (shortest round-trip) and
-BLAS runs on one thread, so identical (subcommand, config, seed) triples
-produce byte-identical files.
+Subcommands: tune, solve, convert, arm, rover, bench.  Runners compute, `main`
+publishes.  Each `run_<cmd>(cfg, seed)` opens no file; it returns
+{file name: (header, rows)} (bench also a text file), and only then does
+`publish` write into the --out directory, and nothing anywhere else.  Every
+file, `effective_config.txt` included, goes to a temporary `<name>.part` and
+is renamed into place, the config last, after the old config and the declared
+names this run did not produce are removed.  So the config is present only
+beside a complete set from one run, and a run that fails, or a failed write of
+a temporary file, leaves the last complete set as it was.  CSV floats use repr
+(shortest round-trip) and BLAS runs on one thread, so identical (subcommand,
+config, seed) triples produce byte-identical files.
 
 Exit codes: 0 success, 1 validation/config error, 2 runtime divergence,
 64 usage error.
@@ -13,6 +19,7 @@ Exit codes: 0 success, 1 validation/config error, 2 runtime divergence,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import resource
@@ -32,22 +39,11 @@ from .build import FIXED_POINT, REFERENCE, activity_matrix, compile_graph, lower
     sample_eval_points
 from .config import GLOBAL, config_reference, load_config
 from .engine import Simulator
-from .errors import (
-    DivergedLearningError,
-    NefError,
-    NonFiniteSignalError,
-    NonFiniteStateError,
-)
+from .errors import (ConfigError, DivergedLearningError, NefError, NonFiniteSignalError,
+                     NonFiniteStateError)
 from .graph import ConnectionSpec, Ensemble, ModelGraph, NodeSpec
-from .neurons import (
-    LIF,
-    NeuronParams,
-    QuantizationSpec,
-    RATE_LIF,
-    SPIKING_RELU,
-    measured_rate_curve,
-    rate,
-)
+from .neurons import (LIF, RATE_LIF, SPIKING_RELU, NeuronParams, QuantizationSpec,
+                      measured_rate_curve, rate)
 from .seeding import stream
 
 USAGE_EXIT = 64
@@ -56,37 +52,42 @@ USAGE_EXIT = 64
 def fmt(x):
     """Shortest round-trip decimal for a float (nan prints as 'nan')."""
     x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return repr(x)
+    return "nan" if math.isnan(x) else repr(x)
 
 
-def write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else fmt(v) for v in row) + "\n")
+def write_csv(fh, header, rows):
+    """The one formatting rule: str and int values print as str, every other
+    value through fmt."""
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        fh.write(",".join(str(v) if isinstance(v, (str, int)) else fmt(v)
+                          for v in row) + "\n")
 
 
-def write_probe_csv(path, tables):
-    """Probe dump: t,probe_id,dim,value with t at full precision."""
-    rows = []
-    for pid in sorted(tables):
-        table = tables[pid]
-        for t, values in zip(table.times, table.values):
-            for dim, value in enumerate(values):
-                rows.append((t, pid, str(dim), value))
-    write_csv(path, ["t", "probe_id", "dim", "value"],
-              [(fmt(t), pid, dim, fmt(v)) for (t, pid, dim, v) in rows])
+def publish(out_dir, outputs, names, config_text):
+    """Write a runner's `outputs` and `config_text` into out_dir, as the module
+    docstring says; `names` is every file name the subcommand may write."""
+    files = {**outputs, "effective_config.txt": config_text}
+    path = {name: os.path.join(out_dir, name) for name in (*names, *files)}
+    try:
+        for name, content in files.items():
+            with open(path[name] + ".part", "w", encoding="utf-8", newline="\n") as fh:
+                if isinstance(content, str):
+                    fh.write(content)
+                else:
+                    write_csv(fh, *content)
+        for name in path.keys() - outputs.keys():  # the old config, stale names
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path[name])
+        for name in files:  # the config last
+            os.replace(path[name] + ".part", path[name])
+    finally:
+        for name in files:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path[name] + ".part")
 
 
-def _echo_config(cfg, out_dir):
-    with open(os.path.join(out_dir, "effective_config.txt"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write(cfg.render_effective())
-
-
-def run_tune(cfg, seed, out_dir):
+def run_tune(cfg, seed):
     params = cfg.make(NeuronParams)
     model = LIF if cfg.get("neurons", "tune_model") == "lif" else SPIKING_RELU
     J = np.linspace(cfg.get("neurons", "tune_j_min"),
@@ -98,18 +99,14 @@ def run_tune(cfg, seed, out_dir):
         J, dt, params, model, qspec=cfg.make(QuantizationSpec),
         settle=cfg.get("neurons", "tune_settle"),
         window=cfg.get("neurons", "tune_window"))
-    write_csv(os.path.join(out_dir, "tune.csv"),
-              ["J", "rate_float", "rate_quantized"],
-              zip(J, rate_float, rate_q))
+    return {"tune.csv": (["J", "rate_float", "rate_quantized"],
+                         zip(J, rate_float, rate_q))}
 
 
-_SOLVE_FUNCTIONS = {
-    "identity": lambda x: x,
-    "square": lambda x: np.asarray(x) ** 2,
-}
+_SOLVE_FUNCTIONS = {"identity": lambda x: x, "square": lambda x: np.asarray(x) ** 2}
 
 
-def run_solve(cfg, seed, out_dir):
+def run_solve(cfg, seed):
     name = cfg.get("neurons", "solve_function")
     fn = _SOLVE_FUNCTIONS[name]
     n = cfg.get("neurons", "solve_n_neurons")
@@ -128,16 +125,20 @@ def run_solve(cfg, seed, out_dir):
     d = model.connections[0].weights.T
     x = np.linspace(-1.0, 1.0, cfg.get("neurons", "solve_points"))[:, None]
     decoded = activity_matrix(model.ensemble("ens"), x) @ d
-    write_csv(os.path.join(out_dir, "solve.csv"), ["x", "target", "decoded"],
-              zip(x[:, 0], fn(x)[:, 0], decoded[:, 0]))
+    return {"solve.csv": (["x", "target", "decoded"],
+                          zip(x[:, 0], fn(x)[:, 0], decoded[:, 0]))}
 
 
-def run_convert(cfg, seed, out_dir):
+def run_convert(cfg, seed):
     net_file = cfg.get("convert", "net_file")
     if net_file:
         net = conv_mod.read_net_file(net_file)
     else:
-        sizes = tuple(int(tok) for tok in cfg.get("convert", "layers").split())
+        layers = cfg.get("convert", "layers")
+        sizes = tuple(int(tok) if tok.isdecimal() else 0 for tok in layers.split())
+        if len(sizes) < 2 or min(sizes) < 1:
+            raise ConfigError(f"[convert] layers must be two or more positive integers, "
+                              f"got {layers!r}")
         net = conv_mod.random_dense_net(sizes, stream(seed, "convert", "net"))
     flavor = (conv_mod.SPIKING_QUANTIZED
               if cfg.get(GLOBAL, "backend") == FIXED_POINT else conv_mod.SPIKING)
@@ -147,49 +148,45 @@ def run_convert(cfg, seed, out_dir):
     inputs = scale * rng.uniform(-1.0, 1.0, (cfg.get("convert", "n_inputs"),
                                              net.sizes[0]))
     report = conv_mod.fidelity_report(net, ccfg, inputs, seed=seed)
-    rows = []
-    for r in report.rows:
-        for dim in range(len(r.rate_out)):
-            rows.append((str(r.input_index), str(dim), fmt(r.rate_out[dim]),
-                         fmt(r.spike_out[dim]), fmt(r.abs_err[dim])))
-    write_csv(os.path.join(out_dir, "fidelity.csv"),
-              ["input_idx", "dim", "rate_out", "spike_out", "abs_err"], rows)
+    return {"fidelity.csv": (
+        ["input_idx", "dim", "rate_out", "spike_out", "abs_err"],
+        [(r.input_index, dim, r.rate_out[dim], r.spike_out[dim], r.abs_err[dim])
+         for r in report.rows for dim in range(len(r.rate_out))])}
 
 
-def run_arm(cfg, seed, out_dir):
+def run_arm(cfg, seed):
     trajectory = [] if cfg.get("arm", "emit_trajectory") else None
     records, _ = arm_mod.run_arm_protocol(cfg.make(arm_mod.ArmConfig),
                                           cfg.make(arm_mod.ReachTask), seed,
                                           trajectory=trajectory)
-    write_csv(os.path.join(out_dir, "arm_trials.csv"),
-              ["session", "trial", "controller", "error_raw", "error_pct"],
-              [(str(r.session), str(r.trial), r.controller,
-                fmt(r.error_raw), fmt(r.error_pct)) for r in records])
+    outputs = {"arm_trials.csv": (
+        ["session", "trial", "controller", "error_raw", "error_pct"],
+        [(r.session, r.trial, r.controller, r.error_raw, r.error_pct)
+         for r in records])}
     if trajectory is not None:
-        write_csv(os.path.join(out_dir, "arm_traj.csv"),
-                  ["t", "q1", "q2", "q3", "x", "y",
-                   "u1", "u2", "u3", "ua1", "ua2", "ua3"],
-                  trajectory)
+        outputs["arm_traj.csv"] = (["t", "q1", "q2", "q3", "x", "y",
+                                    "u1", "u2", "u3", "ua1", "ua2", "ua3"], trajectory)
+    return outputs
 
 
-def run_rover(cfg, seed, out_dir):
+def run_rover(cfg, seed):
     run = rover_mod.run_rover_task(
         cfg.make(rover_mod.RoverTaskConfig), cfg.make(rover_mod.RoverNetConfig), seed,
         backend=cfg.get(GLOBAL, "backend"),
         controller=cfg.get("rover", "controller"),
         params=cfg.make(rover_mod.RoverParams),
     )
-    write_csv(os.path.join(out_dir, "rover_traj.csv"),
-              ["t", "x", "y", "theta", "q", "v",
-               "target_x", "target_y", "u_steer", "u_accel"],
-              run.trajectory)
-    write_csv(os.path.join(out_dir, "rover_captures.csv"),
-              ["target_idx", "spawn_x", "spawn_y", "t_capture"],
-              [(str(c.target_index), fmt(c.spawn_x), fmt(c.spawn_y),
-                fmt(c.t_capture)) for c in run.captures])
+    return {
+        "rover_traj.csv": (["t", "x", "y", "theta", "q", "v",
+                            "target_x", "target_y", "u_steer", "u_accel"],
+                           run.trajectory),
+        "rover_captures.csv": (["target_idx", "spawn_x", "spawn_y", "t_capture"],
+                               [(c.target_index, c.spawn_x, c.spawn_y, c.t_capture)
+                                for c in run.captures]),
+    }
 
 
-def run_bench(cfg, seed, out_dir):
+def run_bench(cfg, seed):
     """Wall-clock per simulated second for each backend at the rover's two
     neuron-count presets, each built once and lowered to both backends.  The
     CSV describes what ran (deterministic); the timings go to
@@ -217,26 +214,27 @@ def run_bench(cfg, seed, out_dir):
             for _ in range(n_steps):
                 sim.step(inputs)
             run_s = time.perf_counter() - t0
-            rows.append((backend, str(n_neurons), str(n_steps), fmt(dt)))
+            rows.append((backend, n_neurons, n_steps, dt))
             timing_lines.append(
                 f"{backend} n={n_neurons}: lower+init {lower_s:.3f}s, "
                 f"run {run_s:.3f}s for {duration}s simulated "
                 f"({run_s / duration:.3f}s per simulated second)"
             )
-    write_csv(os.path.join(out_dir, "bench.csv"),
-              ["backend", "n_neurons", "n_steps", "dt"], rows)
-    with open(os.path.join(out_dir, "bench_timings.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write("\n".join(timing_lines) + "\n")
+    return {"bench.csv": (["backend", "n_neurons", "n_steps", "dt"], rows),
+            "bench_timings.txt": "\n".join(timing_lines) + "\n"}
 
 
+# subcommand: (runner, every file name it may write, help)
 _RUNNERS = {
-    "tune": run_tune,
-    "solve": run_solve,
-    "convert": run_convert,
-    "arm": run_arm,
-    "rover": run_rover,
-    "bench": run_bench,
+    "tune": (run_tune, ("tune.csv",), "dump float and quantized rate-curve sweeps"),
+    "solve": (run_solve, ("solve.csv",),
+              "decode a named function and dump x,target,decoded"),
+    "convert": (run_convert, ("fidelity.csv",), "dense-net conversion fidelity report"),
+    "arm": (run_arm, ("arm_trials.csv", "arm_traj.csv"), "adaptive-arm reach protocol"),
+    "rover": (run_rover, ("rover_traj.csv", "rover_captures.csv"),
+              "closed-loop rover target seeking"),
+    "bench": (run_bench, ("bench.csv", "bench_timings.txt"),
+              "wall-clock per simulated second per backend/preset"),
 }
 
 
@@ -257,14 +255,7 @@ def build_parser():
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command")
-    for name, help_text in [
-        ("tune", "dump float and quantized rate-curve sweeps"),
-        ("solve", "decode a named function and dump x,target,decoded"),
-        ("convert", "dense-net conversion fidelity report"),
-        ("arm", "adaptive-arm reach protocol"),
-        ("rover", "closed-loop rover target seeking"),
-        ("bench", "wall-clock per simulated second per backend/preset"),
-    ]:
+    for name, (_, _, help_text) in _RUNNERS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="configuration file")
         p.add_argument("--seed", type=int, default=None, help="master seed")
@@ -287,9 +278,9 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else cfg.get(GLOBAL, "seed")
         out_dir = args.out if args.out is not None else cfg.get(GLOBAL, "out_dir")
-        os.makedirs(out_dir, exist_ok=True)
-        _RUNNERS[args.command](cfg, seed, out_dir)
-        _echo_config(cfg, out_dir)
+        os.makedirs(out_dir, exist_ok=True)  # an unwritable --out fails before the run
+        runner, names, _ = _RUNNERS[args.command]
+        publish(out_dir, runner(cfg, seed), names, cfg.render_effective())
     except (DivergedLearningError, NonFiniteSignalError, NonFiniteStateError) as exc:
         print(f"runtime divergence: {exc}", file=sys.stderr)
         return 2

@@ -188,7 +188,10 @@ def _coerce(section, key, raw, lineno):
         if spec.type is int:
             if "." in raw or "e" in raw.lower():
                 raise ValueError(raw)
-            return int(raw)
+            value = int(raw)
+            if value < 0 and key != "seed":  # every other int key counts something
+                raise ConfigError(f"[{section}] {key} must be >= 0, got {value}")
+            return value
         if spec.type is float:
             return float(raw)
     except ValueError as exc:

@@ -175,7 +175,8 @@ def quantize_weights(W, qspec: QuantizationSpec, peak=None):
     power-of-two exponent.
 
     e = ceil(log2(max|W| / (2**(mantissa_bits-1) - 1))); entries round to
-    multiples of 2**e, so the elementwise error is at most 2**(e-1).  An
+    multiples of 2**e, so the elementwise error is at most 2**(e-1), or they
+    saturate, sign kept, where they would round past the largest double.  An
     all-zero matrix is returned unchanged with exponent 0.  A caller that
     already holds max|W| (as max(W.max(), -W.min())) passes it as `peak`.
     """
@@ -185,8 +186,13 @@ def quantize_weights(W, qspec: QuantizationSpec, peak=None):
     if peak == 0.0:
         return W.copy(), 0
     e = int(np.ceil(np.log2(peak / qspec.mantissa_max)))
+    if e <= 1025 - qspec.weight_mantissa_bits:  # |mantissa| < 2**(1024-e): finite
+        scale = 2.0 ** e
+        return np.rint(W / scale) * scale, e
+    e = min(e, 1023)  # a 2-bit grid's step 2**1024 has no finite multiple but 0
     scale = 2.0 ** e
-    return np.rint(W / scale) * scale, e
+    top = np.floor(np.finfo(float).max / scale)
+    return np.clip(np.rint(W / scale), -top, top) * scale, e  # saturated, sign kept
 
 
 def quantize_current(J, qspec: QuantizationSpec):

@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import subprocess
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 import nefsim
-from nefsim.cli import main, write_probe_csv
+from nefsim import cli
+from nefsim.cli import _RUNNERS, main
 
 FAST_ROVER = """
 [rover]
@@ -60,7 +62,13 @@ def write_cfg(tmp_path, text):
 
 
 def run(args):
-    return main(args)
+    """main(args); then --out, if the run made it, holds nothing but
+    effective_config.txt and the subcommand's declared output names (so no
+    temporary file either), whether the run failed or not."""
+    code = main(args)
+    if "--out" in args and os.path.isdir(out := args[args.index("--out") + 1]):
+        assert set(os.listdir(out)) <= {*_RUNNERS[args[0]][1], "effective_config.txt"}
+    return code
 
 
 class TestUsage:
@@ -179,25 +187,35 @@ class TestOutputs:
         # one 0.5 s reach sampled every 0.05 s, for each of the five controllers
         assert len(lines) == 1 + 5 * 10
 
-    def test_probe_csv_schema(self, tmp_path):
-        from nefsim.build import compile_graph
-        from nefsim.engine import Simulator
-        from nefsim import graph as gr
-        from tests.conftest import channel_graph
+    def test_interrupted_write_keeps_the_last_set(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, FAST_TUNE)
+        assert run(["tune", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real_fmt, calls = cli.fmt, 0
 
-        g = channel_graph(n_neurons=30)
-        g.add_probe(gr.ProbeSpec("p", "out", gr.DECODED_OUTPUT,
-                                 sample_every=0.01))
-        sim = Simulator(compile_graph(g, seed=0))
-        tables = sim.run(lambda t, out: {"in": (0.3,)}, 0.1)
-        path = tmp_path / "probes.csv"
-        write_probe_csv(path, tables)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,probe_id,dim,value"
-        assert len(lines) == 11
-        t, pid, dim, value = lines[1].split(",")
-        assert pid == "p" and dim == "0"
-        float(t), float(value)  # full-precision floats round-trip
+        def fmt_then_disk_full(x):
+            nonlocal calls
+            calls += 1
+            if calls > 30:  # part-way through tune.csv's 63 floats
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_fmt(x)
+
+        monkeypatch.setattr(cli, "fmt", fmt_then_disk_full)
+        cfg = write_cfg(tmp_path, FAST_TUNE + "tune_j_max = 5.0\n")
+        assert run(["tune", "--config", cfg, "--seed", "1", "--out", str(out)]) == 1
+        assert calls > 30
+        # the last run's CSV and config, byte for byte, and nothing else
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_arm_without_trajectory_removes_the_old_one(self, tmp_path):
+        arm = ("[arm]\nn_neurons = 50\nn_reaches = 1\nn_sessions = 1\n"
+               "reach_duration = 0.5\ntraj_sample_every = 0.05\n")
+        out = tmp_path / "out"
+        for text in (arm + "emit_trajectory = true\n", arm):
+            cfg = write_cfg(tmp_path, text)
+            assert run(["arm", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["arm_trials.csv", "effective_config.txt"]
 
     def test_writes_stay_inside_out_dir(self, tmp_path, monkeypatch):
         workdir = tmp_path / "cwd"
@@ -240,8 +258,21 @@ class TestNeuronKeys:
          "[convert] scale_firing_rates must be > 0"),
         ("convert", "[convert]\nn_inputs = 3\nlayers = 4 6 2\n", "presentation_time = 0.05",
          "[convert] presentation_time must cover >= 10 output taus"),
+        ("tune", "[neurons]\n", "tune_points = -1",
+         "[neurons] tune_points must be >= 0, got -1"),
+        ("solve", "[neurons]\n", "solve_points = -3",
+         "[neurons] solve_points must be >= 0, got -3"),
+        ("convert", "[convert]\nlayers = 4 6 2\n", "n_inputs = -2",
+         "[convert] n_inputs must be >= 0, got -2"),
+        ("convert", "[convert]\nn_inputs = 3\n", "layers = 8 x 2",
+         "[convert] layers must be two or more positive integers, got '8 x 2'"),
+        ("convert", "[convert]\nn_inputs = 3\n", "layers = 4 0 2",
+         "[convert] layers must be two or more positive integers, got '4 0 2'"),
     ], ids=["tune-negative-tau_rc", "solve-zero-tau_rc", "convert-negative-amplitude",
-            "convert-zero-scale_firing_rates", "convert-short-presentation_time"])
+            "convert-zero-scale_firing_rates", "convert-short-presentation_time",
+            "tune-negative-tune_points", "solve-negative-solve_points",
+            "convert-negative-n_inputs", "convert-non-integer-layers",
+            "convert-zero-width-layer"])
     def test_invalid_value_exits_1(self, tmp_path, capsys, command, cfg_text,
                                    override, message):
         cfg = write_cfg(tmp_path, cfg_text + override + "\n")

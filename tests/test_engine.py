@@ -159,10 +159,11 @@ class TestRun:
                                  sample_every=0.001))
         g.add_probe(gr.ProbeSpec("p10", "out", gr.DECODED_OUTPUT,
                                  sample_every=0.01))
-        tables = Simulator(compile_graph(g, seed=0)).run(
-            lambda t, out: {"in": (0.1,)}, 1.0)
-        assert len(tables["p"]) == 1000
-        assert len(tables["p10"]) == 100
+        for duration, n in ((1.0, 1000), (0.1, 100)):
+            tables = Simulator(compile_graph(g, seed=0)).run(
+                lambda t, out: {"in": (0.1,)}, duration)
+            assert len(tables["p"]) == n
+            assert len(tables["p10"]) == n // 10
 
     def test_raster_probe_counts_match_rate(self):
         g = channel_graph(n_neurons=100, synapse=0.01)

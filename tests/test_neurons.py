@@ -289,19 +289,29 @@ qspecs = st.builds(QuantizationSpec, weight_mantissa_bits=st.integers(2, 16))
 
 
 class TestQuantizerProperties:
-    # quantize_weights still overflows where a peak rounds up past the
-    # largest double, so its magnitudes stop below 2**901
     @settings(max_examples=300, deadline=None)
     @given(W=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
-                        elements=signed_normals(900)),
+                        elements=quantizable),
            qspec=qspecs)
+    @example(W=np.array([[np.finfo(float).max, -1.0]]), qspec=QuantizationSpec())
+    @example(W=np.array([[2.0 ** 1023, -1.5 * 2.0 ** 1023, -np.finfo(float).max]]),
+             qspec=QuantizationSpec(weight_mantissa_bits=2))
     def test_weights_round_to_nearest_on_the_minimal_grid(self, W, qspec):
-        Wq, e = quantize_weights(W, qspec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow
+            Wq, e = quantize_weights(W, qspec)
         peak = max(W.max(), -W.min())
         if peak == 0.0:
             assert e == 0 and same_bits(Wq, W)
             return
-        assert np.all(np.abs(Wq - W) <= 2.0 ** (e - 1))
+        # entries whose nearest multiple of 2**e is past the largest double saturate
+        with np.errstate(over="ignore"):
+            sat = ~np.isfinite(np.rint(W / 2.0 ** e) * 2.0 ** e)
+        assert np.all(np.isfinite(Wq[sat]))
+        assert np.all(np.sign(Wq[sat]) == np.sign(W[sat]))
+        assert np.all(np.abs(Wq[sat]) <= np.abs(W[sat]))
+        assert np.all(np.abs(Wq[sat] - W[sat]) < 2.0 ** e)
+        assert np.all(np.abs(Wq[~sat] - W[~sat]) <= 2.0 ** (e - 1))
         mantissas = Wq / 2.0 ** e
         assert np.array_equal(mantissas, np.rint(mantissas))
         assert np.all(np.abs(mantissas) <= qspec.mantissa_max)

@@ -15,8 +15,10 @@ after `Simulator.reset()` (no CLI run reaches a PES error connection or
 output node, an unfiltered or non-identity learned connection, or a probe);
 then one line each for the all-defaults effective config
 (`RunConfig().render_effective()`) and the key listing of `--help`
-(`config_reference()`), so two checkouts compare with a plain diff.  A run that fails stops the tool with its exit code and
-stderr.
+(`config_reference()`), so two checkouts compare with a plain diff.  A run that
+fails stops the tool with its exit code and stderr; a run whose out holds any
+file but its CSVs, `effective_config.txt` and `bench_timings.txt` stops it
+with exit 1 and the file's name.
 """
 
 from __future__ import annotations
@@ -155,6 +157,11 @@ def main():
             if proc.returncode != 0:
                 sys.stderr.write(f"{label}: exit {proc.returncode}\n{proc.stderr}")
                 return proc.returncode
+            extra = sorted(p.name for p in out.iterdir() if p.suffix != ".csv"
+                           and p.name not in ("effective_config.txt", "bench_timings.txt"))
+            if extra:  # a leftover temporary file, say
+                sys.stderr.write(f"{label}: unexpected file in out: {', '.join(extra)}\n")
+                return 1
             for path in sorted(out.glob("*.csv")) + [out / "effective_config.txt"]:
                 lines.append(f"{sha256(path.read_bytes())}  {label}/{path.name}")
     proc = subprocess.run(
