@@ -41,10 +41,6 @@ class ArmModel:
 
     def __init__(self, lengths=LENGTHS, masses=MASSES, inertias=None, gravity=GRAVITY,
                  joint_limits=((-math.pi, math.pi),) * 3, payload_mass=0.0):
-        if any(l <= 0 for l in lengths) or any(m <= 0 for m in masses):
-            raise ValueError("lengths and masses must be > 0")
-        if payload_mass < 0:
-            raise ValueError("payload_mass must be >= 0")
         self.lengths = tuple(float(l) for l in lengths)
         self.masses = tuple(float(m) for m in masses)
         self.inertias = (
@@ -386,6 +382,10 @@ class ReachTask:
     traj_sample_every: float = field(default=0.01, metadata=dict(
         unit="s", help="trajectory sampling period"))
 
+    def __post_init__(self):
+        if not self.duration > 0:
+            raise ValueError("reach_duration must be > 0")
+
 
 @dataclass
 class TrialRecord:
@@ -459,6 +459,12 @@ class ArmConfig:
     # the adaptive ensemble's neurons, read from the [neurons] keys
     neuron_params: NeuronParams = NeuronParams()
     qspec: QuantizationSpec = QuantizationSpec()
+
+    def __post_init__(self):
+        if not all(v > 0 for v in (*self.lengths, *self.masses)):
+            raise ValueError("l1..l3 and m1..m3 must be > 0")
+        if not self.payload_mass >= 0:
+            raise ValueError("payload_mass must be >= 0")
 
     def nominal_model(self):
         return self.plant_model(0.0)

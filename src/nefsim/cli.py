@@ -284,7 +284,7 @@ def main(argv=None) -> int:
     except (DivergedLearningError, NonFiniteSignalError, NonFiniteStateError) as exc:
         print(f"runtime divergence: {exc}", file=sys.stderr)
         return 2
-    except (NefError, OSError, ValueError) as exc:
+    except (NefError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -12,6 +12,7 @@ reproducible from (subcommand, config, seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, is_dataclass
 
 from .arm import ArmConfig, ReachTask
@@ -31,6 +32,7 @@ class Key:
     unit: str = ""
     help: str = ""
     choices: tuple = ()  # allowed values; empty = any value of the type
+    positive: bool = False  # a duration or size: must be > 0
 
 
 def _enum(choices, label=""):
@@ -65,7 +67,7 @@ def _field_keys(classes):
 
 SCHEMA = {
     GLOBAL: {
-        "dt": Key(float, DEFAULT_DT, "s", "simulation timestep"),
+        "dt": Key(float, DEFAULT_DT, "s", "simulation timestep", positive=True),
         "seed": Key(int, 0, "", "master seed; per-component streams derive from it"),
         "backend": _enum(BACKENDS),
         "out_dir": Key(str, "out", "", "output directory (CLI --out overrides)"),
@@ -82,11 +84,11 @@ SCHEMA = {
         "tune_model": _enum(("lif", "relu"), "tune sweep model: "),
         "tune_j_min": Key(float, 0.0, "", "tune sweep lowest input current"),
         "tune_j_max": Key(float, 10.0, "", "tune sweep highest input current"),
-        "tune_points": Key(int, 201, "", "tune sweep point count"),
+        "tune_points": Key(int, 201, "", "tune sweep point count", positive=True),
         "tune_settle": Key(float, 0.5, "s", "tune sweep settling time per point"),
-        "tune_window": Key(float, 2.0, "s", "tune sweep measurement window"),
+        "tune_window": Key(float, 2.0, "s", "tune sweep measurement window", positive=True),
         "solve_function": _enum(("identity", "square"), "solve target: "),
-        "solve_n_neurons": Key(int, 100, "", "solve ensemble size"),
+        "solve_n_neurons": Key(int, 100, "", "solve ensemble size", positive=True),
         "solve_points": Key(int, 101, "", "solve output grid size on [-1, 1]"),
     },
     "arm": {
@@ -99,7 +101,8 @@ SCHEMA = {
         "bench_preset_small": Key(int, RoverNetConfig.n_neurons, "",
                                   "bench neuron-count preset"),
         "bench_preset_large": Key(int, 4096, "", "bench neuron-count preset"),
-        "bench_duration": Key(float, 0.5, "s", "simulated time per bench run"),
+        "bench_duration": Key(float, 0.5, "s", "simulated time per bench run",
+                              positive=True),
     },
     "convert": {
         **_field_keys(DATACLASSES["convert"]),
@@ -191,14 +194,19 @@ def _coerce(section, key, raw, lineno):
             value = int(raw)
             if value < 0 and key != "seed":  # every other int key counts something
                 raise ConfigError(f"[{section}] {key} must be >= 0, got {value}")
-            return value
-        if spec.type is float:
-            return float(raw)
+        elif spec.type is float:
+            value = float(raw)
     except ValueError as exc:
         raise ConfigTypeError(
             f"[{section}] {key}: expected {spec.type.__name__}, got {raw!r}",
             line=lineno,
         ) from exc
+    if spec.type in (int, float):
+        if spec.type is float and not math.isfinite(value):
+            raise ConfigError(f"[{section}] {key} must be finite, got {value}")
+        if spec.positive and not value > 0:
+            raise ConfigError(f"[{section}] {key} must be > 0, got {value}")
+        return value
     if spec.choices and raw not in spec.choices:
         raise ConfigTypeError(
             f"[{section}] {key}: expected one of {', '.join(spec.choices)}, "

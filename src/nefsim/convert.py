@@ -5,6 +5,8 @@ Each hidden unit becomes one spiking neuron whose input current is scaled by
 filtered spike rate reproduces the rate activation in expectation while the
 neurons run in a high-rate, low-variance regime.  Weights and biases carry
 over unchanged; trained weights are supplied via file or generated randomly.
+The converted graph has fixed node ids: the input goes in at INPUT, a
+constant 1.0 at BIAS every step, and the output comes out at OUTPUT.
 """
 
 from __future__ import annotations
@@ -17,16 +19,19 @@ import numpy as np
 from . import graph as gr
 from .build import FIXED_POINT, REFERENCE, compile_graph
 from .engine import Simulator
-from .errors import ShapeMismatchError
+from .errors import ConfigError, ShapeMismatchError
 from .neurons import DEFAULT_DT, NeuronParams, QuantizationSpec
 
 SPIKING = "spiking"
 SPIKING_QUANTIZED = "spiking_quantized"
 
+INPUT, BIAS, OUTPUT = "x_in", "one_in", "y_out"
 
-@dataclass
+
+@dataclass(frozen=True)
 class DenseNetSpec:
-    """Layer sizes plus per-layer weights (out x in) and biases (out,).
+    """Layer sizes plus per-layer weights (out x in) and biases (out,), whose
+    shapes are checked on construction (ShapeMismatchError).
 
     Hidden layers are rectified linear; the final layer is linear output.
     """
@@ -35,7 +40,7 @@ class DenseNetSpec:
     weights: list
     biases: list
 
-    def validate(self):
+    def __post_init__(self):
         if len(self.sizes) < 2:
             raise ShapeMismatchError("need at least one layer")
         if len(self.weights) != len(self.sizes) - 1 or len(self.biases) != len(self.weights):
@@ -73,22 +78,20 @@ class ConversionConfig:
     def __post_init__(self):
         if not self.scale_firing_rates > 0:
             raise ValueError("scale_firing_rates must be > 0")
-        if self.presentation_time < 10.0 * self.output_tau:
+        if not self.presentation_time >= 10.0 * self.output_tau:
             raise ValueError("presentation_time must cover >= 10 output taus")
+        if not self.presentation_time >= 2.0 * self.dt:  # a settle step and a measured one
+            raise ValueError("presentation_time must be >= 2 dt")
 
 
 def rate_forward(net: DenseNetSpec, x):
     """Plain dense forward pass with ReLU hidden activations."""
-    net.validate()
     h = np.asarray(x, dtype=float)
     if h.shape[-1] != net.sizes[0]:
         raise ShapeMismatchError(f"input dims {h.shape[-1]} != {net.sizes[0]}")
-    last = net.n_layers - 1
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w.T + b
-        if l != last:
-            h = np.maximum(h, 0.0)
-    return h
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        h = np.maximum(h @ w.T + b, 0.0)
+    return h @ net.weights[-1].T + net.biases[-1]
 
 
 def _layer_tuning(w, b, scale):
@@ -101,71 +104,54 @@ def _layer_tuning(w, b, scale):
 
 
 def convert(net: DenseNetSpec, cfg: ConversionConfig):
-    """Build the spiking graph for `net`.
-
-    Returns (graph, names) where names holds the input node id, the constant
-    bias node id (feed 1.0 there each step), and the output node id.
-    """
-    net.validate()
+    """The spiking graph for `net`: ensembles layer1.. in order, fed from INPUT
+    and BIAS, read out at OUTPUT."""
+    if net.n_layers < 2:
+        raise ShapeMismatchError("conversion needs at least one hidden layer")
     s = cfg.scale_firing_rates
     g = gr.ModelGraph(dt=cfg.dt, neuron_params=cfg.neuron_params)
-    g.add_node(gr.NodeSpec("x_in", net.sizes[0], gr.EXTERNAL_INPUT))
-    g.add_node(gr.NodeSpec("one_in", 1, gr.EXTERNAL_INPUT))
-    g.add_node(gr.NodeSpec("y_out", net.sizes[-1], gr.EXTERNAL_OUTPUT))
-
-    n_hidden = net.n_layers - 1
-    for l in range(n_hidden):
-        w, b = net.weights[l], net.biases[l]
-        g.add_ensemble(gr.Ensemble(
-            f"layer{l + 1}", n_neurons=net.sizes[l + 1], dimensions=net.sizes[l],
-            radius=1.0, neuron_model="spiking_rectified_linear",
-            fixed_tuning=_layer_tuning(w, b, s),
-        ))
-    for l in range(n_hidden):
-        src = "x_in" if l == 0 else f"layer{l}"
-        n_in = net.sizes[l]
-        if l == 0:
-            # first spiking layer encodes the real input directly
-            g.connect(gr.ConnectionSpec(
-                f"into_layer{l + 1}", src, f"layer{l + 1}",
-                transform=np.eye(n_in), synapse=None))
-        else:
-            g.connect(gr.ConnectionSpec(
-                f"into_layer{l + 1}", src, f"layer{l + 1}",
-                transform=np.eye(n_in), decoders=np.eye(n_in) / s,
-                synapse=cfg.inter_layer_tau if cfg.inter_layer_tau > 0 else None))
+    g.add_node(gr.NodeSpec(INPUT, net.sizes[0], gr.EXTERNAL_INPUT))
+    g.add_node(gr.NodeSpec(BIAS, 1, gr.EXTERNAL_INPUT))
+    g.add_node(gr.NodeSpec(OUTPUT, net.sizes[-1], gr.EXTERNAL_OUTPUT))
+    src = INPUT
+    for l, (w, b) in enumerate(zip(net.weights[:-1], net.biases[:-1]), start=1):
+        layer, n_in = f"layer{l}", net.sizes[l - 1]
+        g.add_ensemble(gr.Ensemble(layer, n_neurons=net.sizes[l], dimensions=n_in,
+                                   neuron_model="spiking_rectified_linear",
+                                   fixed_tuning=_layer_tuning(w, b, s)))
+        first = src == INPUT  # the first spiking layer encodes the real input directly
+        g.connect(gr.ConnectionSpec(
+            f"into_{layer}", src, layer, transform=np.eye(n_in),
+            decoders=None if first else np.eye(n_in) / s,
+            synapse=None if first or not cfg.inter_layer_tau > 0 else cfg.inter_layer_tau))
+        src = layer
     # linear output layer: decode the last hidden activity through its weights
-    w_out, b_out = net.weights[-1], net.biases[-1]
     g.connect(gr.ConnectionSpec(
-        "readout", f"layer{n_hidden}", "y_out",
-        transform=w_out, decoders=np.eye(net.sizes[-2]) / s,
-        synapse=cfg.output_tau))
+        "readout", src, OUTPUT, transform=net.weights[-1],
+        decoders=np.eye(net.sizes[-2]) / s, synapse=cfg.output_tau))
     g.connect(gr.ConnectionSpec(
-        "readout_bias", "one_in", "y_out",
-        transform=b_out.reshape(-1, 1), synapse=None))
-    names = {"input": "x_in", "one": "one_in", "output": "y_out"}
-    return g, names
+        "readout_bias", BIAS, OUTPUT,
+        transform=net.biases[-1].reshape(-1, 1), synapse=None))
+    return g
 
 
-def _present(sim, names, x, n_steps):
-    """Run one input for n_steps; returns the output averaged over the last
-    half plus the per-layer mean firing rates."""
+def _present(sim, x, n_steps):
+    """Run one input for n_steps: the first half settles, the second half is
+    measured.  Returns the mean output and each ensemble's mean activity
+    vector over the measured steps."""
     sim.reset()
-    x = np.asarray(x, dtype=float)
-    inputs = {names["input"]: x, names["one"]: np.ones(1)}
-    half = n_steps // 2
-    acc = None
-    count = 0
-    rate_acc = {e.id: 0.0 for e in sim.model.ensembles}
-    for i in range(n_steps):
-        out = sim.step(inputs)[names["output"]]
-        if i >= half:
-            acc = out.copy() if acc is None else acc + out
-            count += 1
-            for eid in rate_acc:
-                rate_acc[eid] += float(np.mean(sim.last_activity(eid)))
-    mean_rates = {eid: v / count for eid, v in rate_acc.items()}
-    return acc / count, mean_rates
+    inputs = {INPUT: x, BIAS: np.ones(1)}
+    settle = n_steps // 2
+    for _ in range(settle):
+        sim.step(inputs)
+    out = sim.step(inputs)[OUTPUT].copy()
+    acts = {e.id: sim.last_activity(e.id).copy() for e in sim.model.ensembles}
+    for _ in range(n_steps - settle - 1):
+        out += sim.step(inputs)[OUTPUT]
+        for eid, a in acts.items():
+            a += sim.last_activity(eid)
+    count = n_steps - settle
+    return out / count, {eid: a / count for eid, a in acts.items()}
 
 
 @dataclass
@@ -193,20 +179,19 @@ class FidelityReport:
 def fidelity_report(net: DenseNetSpec, cfg: ConversionConfig, inputs,
                     seed=0) -> FidelityReport:
     """Rate-vs-spiking comparison over a batch of inputs."""
-    graph, names = convert(net, cfg)
     backend = FIXED_POINT if cfg.flavor == SPIKING_QUANTIZED else REFERENCE
-    sim = Simulator(compile_graph(graph, backend=backend, seed=seed, qspec=cfg.qspec))
+    sim = Simulator(compile_graph(convert(net, cfg), backend=backend, seed=seed,
+                                  qspec=cfg.qspec))
     n_steps = int(round(cfg.presentation_time / cfg.dt))
-    rows = []
-    layer_totals: dict = {}
+    rows, totals = [], {}
     for idx, x in enumerate(np.atleast_2d(np.asarray(inputs, dtype=float))):
-        spike_out, mean_rates = _present(sim, names, x, n_steps)
+        spike_out, rates = _present(sim, x, n_steps)
         rows.append(FidelityRow(idx, rate_forward(net, x), spike_out))
-        for eid, r in mean_rates.items():
-            layer_totals[eid] = layer_totals.get(eid, 0.0) + r
+        for eid, r in rates.items():
+            totals[eid] = totals[eid] + r if eid in totals else r
     rate_outs = np.array([r.rate_out for r in rows])
     output_range = float(rate_outs.max() - rate_outs.min()) if rows else 0.0
-    layer_rates = {eid: total / len(rows) for eid, total in layer_totals.items()}
+    layer_rates = {eid: float(np.mean(t)) / len(rows) for eid, t in totals.items()}
     return FidelityReport(rows=rows, layer_rates=layer_rates,
                           output_range=output_range)
 
@@ -230,7 +215,6 @@ def random_dense_net(sizes, rng, weight_scale=None, bias_scale=0.1):
 # '#' starts a comment; omitted entries are zero.
 
 def write_net_file(net: DenseNetSpec, path):
-    net.validate()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("layers: " + " ".join(str(n) for n in net.sizes) + "\n")
         for l, (w, b) in enumerate(zip(net.weights, net.biases), start=1):
@@ -244,35 +228,30 @@ def write_net_file(net: DenseNetSpec, path):
 
 
 def read_net_file(path):
+    """The net in the file at `path`; a malformed file raises ConfigError
+    naming the file and, for a bad line, its number."""
     sizes = None
-    weights = biases = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("layers:"):
-                sizes = tuple(int(tok) for tok in line.split(":", 1)[1].split())
-                weights = [np.zeros((sizes[l], sizes[l - 1]))
-                           for l in range(1, len(sizes))]
-                biases = [np.zeros(sizes[l]) for l in range(1, len(sizes))]
-                continue
-            if sizes is None:
-                raise ValueError(f"line {lineno}: records before the layers header")
             tok = line.split()
+            if not tok:
+                continue
             try:
-                if tok[0] == "W" and len(tok) == 5:
-                    l, i, j = int(tok[1]), int(tok[2]), int(tok[3])
-                    weights[l - 1][i, j] = float(tok[4])
+                if line.startswith("layers:"):
+                    sizes = tuple(int(t) for t in line[len("layers:"):].split())
+                    weights = [np.zeros((n, m)) for m, n in zip(sizes, sizes[1:])]
+                    biases = [np.zeros(n) for n in sizes[1:]]
+                elif sizes is None:
+                    raise ValueError("records before the layers header")
+                elif tok[0] == "W" and len(tok) == 5:
+                    weights[int(tok[1]) - 1][int(tok[2]), int(tok[3])] = float(tok[4])
                 elif tok[0] == "b" and len(tok) == 4:
-                    l, i = int(tok[1]), int(tok[2])
-                    biases[l - 1][i] = float(tok[3])
+                    biases[int(tok[1]) - 1][int(tok[2])] = float(tok[3])
                 else:
                     raise ValueError("unrecognized record")
             except (ValueError, IndexError) as exc:
-                raise ValueError(f"line {lineno}: {exc}") from exc
+                raise ConfigError(f"net file {path}, line {lineno}: {exc}") from exc
     if sizes is None:
-        raise ValueError("missing layers header")
-    net = DenseNetSpec(sizes=sizes, weights=weights, biases=biases)
-    net.validate()
-    return net
+        raise ConfigError(f"net file {path}: missing layers header")
+    return DenseNetSpec(sizes=sizes, weights=weights, biases=biases)

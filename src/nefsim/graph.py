@@ -284,15 +284,20 @@ class ModelGraph:
             if node.kind not in NODE_KINDS:
                 bad("InvalidParam", node.id, f"unknown node kind {node.kind!r}")
 
-        for conn in self.connections:
-            for end, label in ((conn.source, "source"), (conn.target, "target")):
-                if end not in self._ensembles and end not in self._nodes:
-                    bad("UnknownEndpoint", conn.id, f"{label} {end!r} does not exist")
+        for conn in self.connections:  # connect() checked endpoints and transforms
             if conn.source in self._nodes:
                 if self._nodes[conn.source].kind == EXTERNAL_OUTPUT:
                     bad("InvalidParam", conn.id, "ExternalOutput nodes have no outbound connections")
-                if conn.function_tag is not None:
-                    bad("InvalidParam", conn.id, "functions apply to decoded ensemble outputs only")
+                if conn.function_tag is not None or conn.decoders is not None:
+                    bad("InvalidParam", conn.id,
+                        "functions and decoders apply to decoded ensemble outputs only")
+            elif conn.decoders is not None and conn.learning is not None:
+                bad("InvalidParam", conn.id, "learned connections start from zero decoders")
+            elif conn.decoders is not None:
+                n, k = self._ensembles[conn.source].n_neurons, conn.transform.shape[1]
+                if conn.decoders.shape != (n, k):
+                    bad("ShapeMismatch", conn.id,
+                        f"decoders shape {conn.decoders.shape} != ({n}, {k})")
             if conn.target in self._nodes and self._nodes[conn.target].kind == EXTERNAL_INPUT:
                 bad("InvalidParam", conn.id, "ExternalInput nodes have no inbound connections")
             if conn.function_tag is not None and conn.function_tag not in self._functions:
@@ -307,22 +312,13 @@ class ModelGraph:
                 if err in self._nodes:
                     err_dims = self._nodes[err].dimensions
                 elif err in self._connections and err != conn.id:
-                    other = self._connections[err]
-                    err_dims = None if other.transform is None else other.transform.shape[0]
+                    err_dims = self._connections[err].transform.shape[0]
                 else:
                     bad("UnknownEndpoint", conn.id,
                         f"error_source {err!r} is not a node or connection")
-                if err_dims is not None and conn.source in self._ensembles:
-                    k = conn.transform.shape[1]
-                    if err_dims != k:
-                        bad("ShapeMismatch", conn.id,
-                            f"error dims {err_dims} != connection output dims {k}")
-            if conn.decoders is not None and conn.source in self._ensembles:
-                n = self._ensembles[conn.source].n_neurons
-                k = conn.transform.shape[1]
-                if conn.decoders.shape != (n, k):
-                    bad("ShapeMismatch", conn.id,
-                        f"decoders shape {conn.decoders.shape} != ({n}, {k})")
+                if err_dims is not None and err_dims != conn.transform.shape[1]:
+                    bad("ShapeMismatch", conn.id, f"error dims {err_dims} != "
+                        f"connection output dims {conn.transform.shape[1]}")
 
         # Passthrough cycles cannot be evaluated in one step.
         for nid in self._node_sort()[1]:

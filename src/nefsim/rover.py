@@ -124,6 +124,10 @@ class RoverNetConfig:
     neuron_params: NeuronParams = NeuronParams()
     qspec: QuantizationSpec = QuantizationSpec()
 
+    def __post_init__(self):
+        if not 0 < self.max_rate_range[0] < self.max_rate_range[1]:
+            raise ValueError("max_rate_lo and max_rate_hi must satisfy 0 < lo < hi")
+
 
 def _annulus_points(n, r_inner, r_outer, rng):
     phi = rng.uniform(0.0, 2.0 * math.pi, n)

@@ -86,6 +86,24 @@ class TestUsage:
         cfg = write_cfg(tmp_path, "[arm]\npayload_mas = 1\n")
         assert run(["arm", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    def test_malformed_net_file_exits_1_naming_file_and_line(self, tmp_path, capsys):
+        net = tmp_path / "net.txt"
+        net.write_text("layers: 2 x\n")
+        cfg = write_cfg(tmp_path, f"[convert]\nnet_file = {net}\n")
+        assert run(["convert", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert (f"error: net file {net}, line 1: invalid literal for int()"
+                in capsys.readouterr().err)
+
+    def test_internal_value_error_propagates(self, tmp_path, monkeypatch):
+        """A ValueError from inside a run is a bug, not a config error: it is
+        not reported as exit 1."""
+        def broken(cfg, seed):
+            raise ValueError("not a config error")
+
+        monkeypatch.setitem(_RUNNERS, "tune", (broken, ("tune.csv",), "broken"))
+        with pytest.raises(ValueError, match="not a config error"):
+            main(["tune", "--out", str(tmp_path / "o")])
+
 
 class TestOutputs:
     def test_tune_outputs(self, tmp_path):
@@ -268,11 +286,32 @@ class TestNeuronKeys:
          "[convert] layers must be two or more positive integers, got '8 x 2'"),
         ("convert", "[convert]\nn_inputs = 3\n", "layers = 4 0 2",
          "[convert] layers must be two or more positive integers, got '4 0 2'"),
+        ("tune", "", "dt = 0", "[global] dt must be > 0, got 0.0"),
+        ("arm", "[arm]\n", "reach_duration = 0", "[arm] reach_duration must be > 0"),
+        ("bench", "[rover]\nbench_preset_small = 32\nbench_preset_large = 64\n",
+         "bench_duration = 0", "[rover] bench_duration must be > 0, got 0.0"),
+        ("convert", "[convert]\nn_inputs = 3\nlayers = 4 6 2\noutput_tau = 0.00001\n",
+         "presentation_time = 0.0004", "[convert] presentation_time must be >= 2 dt"),
+        ("tune", "[neurons]\n", "tune_window = 0", "[neurons] tune_window must be > 0, got 0.0"),
+        ("tune", "[neurons]\n", "tune_points = 0", "[neurons] tune_points must be > 0, got 0"),
+        ("solve", "[neurons]\n", "solve_n_neurons = 0",
+         "[neurons] solve_n_neurons must be > 0, got 0"),
+        ("arm", "[arm]\n", "l2 = 0", "[arm] l1..l3 and m1..m3 must be > 0"),
+        ("arm", "[arm]\n", "payload_mass = -0.5", "[arm] payload_mass must be >= 0"),
+        ("convert", "[convert]\nn_inputs = 3\nlayers = 4 6 2\n", "presentation_time = nan",
+         "[convert] presentation_time must be finite, got nan"),
+        ("rover", FAST_ROVER, "max_rate_hi = 0",
+         "[rover] max_rate_lo and max_rate_hi must satisfy 0 < lo < hi"),
     ], ids=["tune-negative-tau_rc", "solve-zero-tau_rc", "convert-negative-amplitude",
             "convert-zero-scale_firing_rates", "convert-short-presentation_time",
             "tune-negative-tune_points", "solve-negative-solve_points",
             "convert-negative-n_inputs", "convert-non-integer-layers",
-            "convert-zero-width-layer"])
+            "convert-zero-width-layer", "tune-zero-dt", "arm-zero-reach_duration",
+            "bench-zero-bench_duration", "convert-sub-step-presentation_time",
+            "tune-zero-tune_window", "tune-zero-tune_points",
+            "solve-zero-solve_n_neurons", "arm-zero-link-length",
+            "arm-negative-payload_mass", "convert-nan-presentation_time",
+            "rover-zero-max_rate_hi"])
     def test_invalid_value_exits_1(self, tmp_path, capsys, command, cfg_text,
                                    override, message):
         cfg = write_cfg(tmp_path, cfg_text + override + "\n")

@@ -137,6 +137,8 @@ class TestDataclasses:
         spec = SCHEMA[section][key]
         if (section, key) == ("convert", "output_tau"):
             value = 0.02  # + 1 would break presentation_time >= 10 output taus
+        elif key == "dt":
+            value = 0.002  # + 1 would break presentation_time >= 2 dt
         elif spec.type is bool:
             value = not spec.default
         elif spec.type is str:

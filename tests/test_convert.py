@@ -1,7 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from nefsim.convert import (
+    BIAS,
+    INPUT,
+    OUTPUT,
     SPIKING,
     SPIKING_QUANTIZED,
     ConversionConfig,
@@ -15,7 +20,7 @@ from nefsim.convert import (
 )
 from nefsim.build import compile_graph
 from nefsim.engine import Simulator
-from nefsim.errors import ShapeMismatchError
+from nefsim.errors import ConfigError, ShapeMismatchError
 from nefsim.seeding import stream
 
 
@@ -54,29 +59,50 @@ class TestRateForward:
         with pytest.raises(ShapeMismatchError):
             rate_forward(toy_net(), np.zeros(5))
 
+    def test_malformed_spec_rejected_on_construction(self):
+        with pytest.raises(ShapeMismatchError, match=r"layer 2: weights \(4, 2\)"):
+            DenseNetSpec(sizes=(3, 4, 2),
+                         weights=[np.zeros((4, 3)), np.zeros((4, 2))],
+                         biases=[np.zeros(4), np.zeros(2)])
+
 
 class TestConvert:
     def test_graph_validates_and_compiles(self):
-        graph, names = convert(toy_net(), ConversionConfig())
+        graph = convert(toy_net(), ConversionConfig())
         model = compile_graph(graph, seed=0)
-        assert names["output"] == "y_out"
+        assert [n.id for n in graph.nodes] == sorted([INPUT, BIAS, OUTPUT])
+        assert graph.node(OUTPUT).dimensions == 2
         assert model.ensemble("layer1").n == 16
 
-    def test_scaling_identity_in_rate_mode(self):
+    def test_needs_a_hidden_layer(self):
+        with pytest.raises(ShapeMismatchError, match="hidden layer"):
+            convert(toy_net(sizes=(8, 2)), ConversionConfig())
+
+    @staticmethod
+    def assert_scaling_identity(sizes, inter_layer_tau):
         # swapping the spiking neurons for their rate model makes the
         # converted network reproduce the dense forward pass (after the
-        # output filter settles), confirming the gain-s / decode-1/s algebra
-        net = toy_net(seed=3)
-        graph, names = convert(net, ConversionConfig(scale_firing_rates=250.0))
+        # output and inter-layer filters settle), confirming the gain-s /
+        # decode-1/s algebra through every layer
+        net = toy_net(seed=3, sizes=sizes)
+        graph = convert(net, ConversionConfig(scale_firing_rates=250.0,
+                                              inter_layer_tau=inter_layer_tau))
         for ens in graph.ensembles:
             ens.neuron_model = "rate_rectified_linear"
         sim = Simulator(compile_graph(graph, seed=0))
         x = stream(4, "x").uniform(-1, 1, 8)
-        inputs = {names["input"]: x, names["one"]: np.ones(1)}
+        inputs = {INPUT: x, BIAS: np.ones(1)}
         out = None
         for _ in range(300):
-            out = sim.step(inputs)[names["output"]]
+            out = sim.step(inputs)[OUTPUT]
         assert np.allclose(out, rate_forward(net, x), atol=1e-6)
+
+    def test_scaling_identity_in_rate_mode(self):
+        self.assert_scaling_identity((8, 16, 2), 0.0)
+
+    @pytest.mark.parametrize("inter_layer_tau", [0.0, 0.005])
+    def test_scaling_identity_in_rate_mode_two_hidden_layers(self, inter_layer_tau):
+        self.assert_scaling_identity((8, 16, 12, 2), inter_layer_tau)
 
     def test_fidelity_at_standard_scale(self):
         net = toy_net()
@@ -186,5 +212,11 @@ class TestNetFile:
     def test_bad_record_reports_line(self, tmp_path):
         path = tmp_path / "net.txt"
         path.write_text("layers: 2 2\nW 1 0 whoops 0.5\n")
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(ConfigError, match="line 2"):
+            read_net_file(path)
+
+    def test_bad_header_names_file_and_line(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_text("# a net\nlayers: 2 x\n")
+        with pytest.raises(ConfigError, match=re.escape(f"net file {path}, line 2: invalid")):
             read_net_file(path)

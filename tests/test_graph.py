@@ -111,6 +111,21 @@ class TestValidation:
                                    max_rate_range=(400.0, 600.0)))
         assert any("ceiling" in d.message for d in g.validate())
 
+    def test_explicit_decoders_on_node_source_rejected(self):
+        g = small_graph()
+        g.add_node(gr.NodeSpec("out3", 3, gr.EXTERNAL_OUTPUT))
+        g.connect(gr.ConnectionSpec("c", "in", "out3", decoders=np.ones((5, 3))))
+        assert [(d.code, d.subject, d.message) for d in g.validate()] == [
+            ("InvalidParam", "c", "functions and decoders apply to decoded ensemble "
+             "outputs only")]
+
+    def test_explicit_decoders_on_learned_connection_rejected(self):
+        g = small_graph()
+        g.connect(gr.ConnectionSpec("c", "a", "out", decoders=np.ones((40, 1)),
+                                    learning=gr.PESConfig(1e-3, "out")))
+        assert [(d.code, d.subject, d.message) for d in g.validate()] == [
+            ("InvalidParam", "c", "learned connections start from zero decoders")]
+
     def test_frozen_after_clean_validation(self):
         g = small_graph()
         g.connect(gr.ConnectionSpec("c", "in", "a"))

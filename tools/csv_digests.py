@@ -15,7 +15,9 @@ after `Simulator.reset()` (no CLI run reaches a PES error connection or
 output node, an unfiltered or non-identity learned connection, or a probe);
 then one line each for the all-defaults effective config
 (`RunConfig().render_effective()`) and the key listing of `--help`
-(`config_reference()`), so two checkouts compare with a plain diff.  A run that
+(`config_reference()`); then the lines of two more convert runs, on the fixed
+backend and on a net with two hidden layers and an inter-layer filter.  Two
+checkouts compare with a plain diff.  A run that
 fails stops the tool with its exit code and stderr; a run whose out holds any
 file but its CSVs, `effective_config.txt` and `bench_timings.txt` stops it
 with exit 1 and the file's name.
@@ -57,6 +59,12 @@ RUNS = (
     ("rover-fixed", "rover", "backend = fixed\n" + FAST_ROVER),
     ("rover-analytic", "rover", FAST_ROVER + "controller = analytic\n"),
     ("bench", "bench", FAST_BENCH),
+)
+# printed after the engine and config lines, so the lines above keep their order
+MORE_RUNS = (
+    ("convert-fixed", "convert", "backend = fixed\n" + FAST_CONVERT),
+    ("convert-deep", "convert", FAST_CONVERT.replace("layers = 4 6 2", "layers = 4 6 5 2")
+     + "inter_layer_tau = 0.005\n"),
 )
 
 
@@ -139,42 +147,52 @@ def engine_digest():
     print(h.hexdigest())
 
 
+def cli_digests(runs, env, tmp, lines):
+    """Append to `lines` the digests of each run's files; returns the exit
+    code of the first run that fails, else 0."""
+    for label, command, cfg_text in runs:
+        run_dir = Path(tmp) / label
+        run_dir.mkdir()
+        cfg = run_dir / "config.txt"
+        cfg.write_text(cfg_text)
+        out = run_dir / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nefsim.cli", command, "--config", str(cfg),
+             "--seed", "1", "--out", str(out)],
+            env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            sys.stderr.write(f"{label}: exit {proc.returncode}\n{proc.stderr}")
+            return proc.returncode
+        extra = sorted(p.name for p in out.iterdir() if p.suffix != ".csv"
+                       and p.name not in ("effective_config.txt", "bench_timings.txt"))
+        if extra:  # a leftover temporary file, say
+            sys.stderr.write(f"{label}: unexpected file in out: {', '.join(extra)}\n")
+            return 1
+        for path in sorted(out.glob("*.csv")) + [out / "effective_config.txt"]:
+            lines.append(f"{sha256(path.read_bytes())}  {label}/{path.name}")
+    return 0
+
+
 def main():
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONPATH=str(ROOT / "src"))
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        for label, command, cfg_text in RUNS:
-            run_dir = Path(tmp) / label
-            run_dir.mkdir()
-            cfg = run_dir / "config.txt"
-            cfg.write_text(cfg_text)
-            out = run_dir / "out"
-            proc = subprocess.run(
-                [sys.executable, "-m", "nefsim.cli", command, "--config", str(cfg),
-                 "--seed", "1", "--out", str(out)],
-                env=env, capture_output=True, text=True)
-            if proc.returncode != 0:
-                sys.stderr.write(f"{label}: exit {proc.returncode}\n{proc.stderr}")
-                return proc.returncode
-            extra = sorted(p.name for p in out.iterdir() if p.suffix != ".csv"
-                           and p.name not in ("effective_config.txt", "bench_timings.txt"))
-            if extra:  # a leftover temporary file, say
-                sys.stderr.write(f"{label}: unexpected file in out: {', '.join(extra)}\n")
-                return 1
-            for path in sorted(out.glob("*.csv")) + [out / "effective_config.txt"]:
-                lines.append(f"{sha256(path.read_bytes())}  {label}/{path.name}")
-    proc = subprocess.run(
-        [sys.executable, "-c", "import csv_digests; csv_digests.engine_digest()"],
-        env=dict(env, PYTHONPATH=f"{ROOT / 'tools'}{os.pathsep}{ROOT / 'src'}"),
-        capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.stderr.write(f"engine: exit {proc.returncode}\n{proc.stderr}")
-        return proc.returncode
-    lines.append(f"{proc.stdout.strip()}  engine/outputs_and_probe_tables")
-    lines.append(f"{sha256(RunConfig().render_effective().encode())}  "
-                 "defaults/effective_config.txt")
-    lines.append(f"{sha256(config_reference().encode())}  config_reference")
+        if code := cli_digests(RUNS, env, tmp, lines):
+            return code
+        proc = subprocess.run(
+            [sys.executable, "-c", "import csv_digests; csv_digests.engine_digest()"],
+            env=dict(env, PYTHONPATH=f"{ROOT / 'tools'}{os.pathsep}{ROOT / 'src'}"),
+            capture_output=True, text=True)
+        if proc.returncode != 0:
+            sys.stderr.write(f"engine: exit {proc.returncode}\n{proc.stderr}")
+            return proc.returncode
+        lines.append(f"{proc.stdout.strip()}  engine/outputs_and_probe_tables")
+        lines.append(f"{sha256(RunConfig().render_effective().encode())}  "
+                     "defaults/effective_config.txt")
+        lines.append(f"{sha256(config_reference().encode())}  config_reference")
+        if code := cli_digests(MORE_RUNS, env, tmp, lines):
+            return code
     print("\n".join(lines))
     return 0
 
