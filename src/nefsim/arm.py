@@ -401,10 +401,11 @@ class ArmConfig:
     """Everything the reach protocol needs beyond the task definition.
 
     Fields with metadata are `[arm]` config keys: "unit" and "help" document
-    the key, "key" names it when it differs from the field, and "keys" names
-    the flat key of each element of a tuple field."""
+    the key, "key" names it when it differs from the field, "keys" names
+    the flat key of each element of a tuple field, and "positive" requires
+    values > 0."""
     payload_mass: float = field(default=1.0, metadata=dict(
-        unit="kg", help="unmodeled end-effector payload"))
+        unit="kg", help="unmodeled end-effector payload", positive=True))
     kp: float = field(default=30.0, metadata=dict(
         unit="1/s^2", help="task-space proportional gain"))
     kv: float = field(default=2.0 * math.sqrt(30.0), metadata=dict(
@@ -422,9 +423,9 @@ class ArmConfig:
         unit="1/s", help="null-space damping"))
     # critically damped target filter
     path_tau: float = field(default=0.3, metadata=dict(
-        unit="s", help="reach reference filter time constant"))
+        unit="s", help="reach reference filter time constant", positive=True))
     vel_bound: float = field(default=2.0, metadata=dict(
-        unit="rad/s", help="velocity normalization bound"))
+        unit="rad/s", help="velocity normalization bound", positive=True))
     dt: float = DEFAULT_DT
     n_neurons: int = field(default=1000, metadata=dict(help="adaptive ensemble size"))
     # PES master rate; the decoded torque integrates the corrective signal
@@ -455,7 +456,7 @@ class ArmConfig:
     joint_limits: tuple = field(default=(math.pi, 2.6, 2.6), metadata=dict(
         unit="rad", keys={"limit_q1": "joint 1 clamp, symmetric",
                           "limit_q2": "joint 2 clamp, symmetric",
-                          "limit_q3": "joint 3 clamp, symmetric"}))
+                          "limit_q3": "joint 3 clamp, symmetric"}, positive=True))
     # the adaptive ensemble's neurons, read from the [neurons] keys
     neuron_params: NeuronParams = NeuronParams()
     qspec: QuantizationSpec = QuantizationSpec()

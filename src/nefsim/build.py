@@ -18,7 +18,6 @@ import hashlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import graph as gr
 from .errors import BuildError, ShapeMismatchError, SingularSystemError
@@ -96,6 +95,7 @@ def solve_decoders(A, targets, reg=DEFAULT_REG):
     G = A.T @ A
     G.flat[::G.shape[0] + 1] += sigma ** 2 * n_points
     b = A.T @ Y
+    import scipy.linalg  # here, not at the top: runs that solve nothing never load scipy
     try:
         # G is exactly symmetric, so its F-ordered view G.T is the same
         # matrix and LAPACK factors it where it lies, without a copy.

@@ -94,6 +94,7 @@ def run_tune(cfg, seed):
                     cfg.get("neurons", "tune_j_max"),
                     cfg.get("neurons", "tune_points"))
     dt = cfg.get(GLOBAL, "dt")
+    cfg.check_steps("neurons", "tune_window")
     rate_float = rate(model, J, params)
     rate_q = measured_rate_curve(
         J, dt, params, model, qspec=cfg.make(QuantizationSpec),
@@ -156,9 +157,9 @@ def run_convert(cfg, seed):
 
 def run_arm(cfg, seed):
     trajectory = [] if cfg.get("arm", "emit_trajectory") else None
-    records, _ = arm_mod.run_arm_protocol(cfg.make(arm_mod.ArmConfig),
-                                          cfg.make(arm_mod.ReachTask), seed,
-                                          trajectory=trajectory)
+    arm_cfg, task = cfg.make(arm_mod.ArmConfig), cfg.make(arm_mod.ReachTask)
+    cfg.check_steps("arm", "reach_duration")
+    records, _ = arm_mod.run_arm_protocol(arm_cfg, task, seed, trajectory=trajectory)
     outputs = {"arm_trials.csv": (
         ["session", "trial", "controller", "error_raw", "error_pct"],
         [(r.session, r.trial, r.controller, r.error_raw, r.error_pct)

@@ -32,7 +32,7 @@ class Key:
     unit: str = ""
     help: str = ""
     choices: tuple = ()  # allowed values; empty = any value of the type
-    positive: bool = False  # a duration or size: must be > 0
+    positive: bool = False  # a duration, size or divisor: must be > 0
 
 
 def _enum(choices, label=""):
@@ -42,7 +42,7 @@ def _enum(choices, label=""):
 
 # A section's keys are the fields of its dataclasses that carry "help" or
 # "keys" metadata, plus the literal keys in SCHEMA.  Fields named `dt` read
-# [global] dt.
+# [global] dt; "positive" metadata makes a key's values > 0.
 DATACLASSES = {
     "neurons": (NeuronParams, QuantizationSpec),
     "arm": (ArmConfig, ReachTask),
@@ -56,12 +56,15 @@ def _field_keys(classes):
     for cls in classes:
         for f in fields(cls):
             meta = f.metadata
+            positive = meta.get("positive", False)
             if "keys" in meta:
                 for (key, text), default in zip(meta["keys"].items(), f.default):
-                    keys[key] = Key(type(default), default, meta["unit"], text)
+                    keys[key] = Key(type(default), default, meta["unit"], text,
+                                    positive=positive)
             elif "help" in meta:
                 keys[meta.get("key", f.name)] = Key(
-                    type(f.default), f.default, meta.get("unit", ""), meta["help"])
+                    type(f.default), f.default, meta.get("unit", ""), meta["help"],
+                    positive=positive)
     return keys
 
 
@@ -151,6 +154,14 @@ class RunConfig:
             return cls(**values, **given)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {exc}") from exc
+
+    def check_steps(self, section, key):
+        """Raise ConfigError unless the duration at (section, key) rounds to
+        at least one step of [global] dt, as its runner counts steps."""
+        value, dt = self.get(section, key), self.get(GLOBAL, "dt")
+        if round(value / dt) < 1:
+            raise ConfigError(f"[{section}] {key} must round to at least one step "
+                              f"of dt = {dt}, got {value}")
 
     def set(self, section, key, value):
         if section not in SCHEMA or key not in SCHEMA[section]:

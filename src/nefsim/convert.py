@@ -244,10 +244,12 @@ def read_net_file(path):
                     biases = [np.zeros(n) for n in sizes[1:]]
                 elif sizes is None:
                     raise ValueError("records before the layers header")
-                elif tok[0] == "W" and len(tok) == 5:
-                    weights[int(tok[1]) - 1][int(tok[2]), int(tok[3])] = float(tok[4])
-                elif tok[0] == "b" and len(tok) == 4:
-                    biases[int(tok[1]) - 1][int(tok[2])] = float(tok[3])
+                elif (tok[0], len(tok)) in (("W", 5), ("b", 4)):
+                    layer, *index = (int(t) for t in tok[1:-1])
+                    if layer < 1 or min(index) < 0:
+                        raise IndexError("layer must be >= 1 and row, column >= 0")
+                    table = weights if tok[0] == "W" else biases
+                    table[layer - 1][tuple(index)] = float(tok[-1])
                 else:
                     raise ValueError("unrecognized record")
             except (ValueError, IndexError) as exc:

@@ -26,7 +26,7 @@ class RoverParams:
     """Bicycle plant constants; each field is a `[rover]` config key whose
     metadata holds its unit and help text."""
     wheelbase: float = field(default=0.3, metadata=dict(
-        unit="m", help="bicycle wheelbase"))
+        unit="m", help="bicycle wheelbase", positive=True))
     # speed response per unit drive command
     accel_gain: float = field(default=2.0, metadata=dict(help="plant drive response"))
     drag: float = field(default=0.5, metadata=dict(unit="1/s", help="plant speed drag"))
@@ -34,7 +34,7 @@ class RoverParams:
     steer_gain: float = field(default=4.0, metadata=dict(
         help="plant steering-rate response"))
     max_steer: float = field(default=0.6, metadata=dict(
-        unit="rad", help="steering clamp"))
+        unit="rad", help="steering clamp", positive=True))
 
 
 @dataclass
@@ -90,7 +90,7 @@ class RoverNetConfig:
     n_neurons: int = field(default=512, metadata=dict(
         help="neurons per control ensemble (4096 = full scale)"))
     radius: float = field(default=3.5, metadata=dict(
-        unit="m", help="representational radius of target coords"))
+        unit="m", help="representational radius of target coords", positive=True))
     k_a: float = field(default=1.0, metadata=dict(help="drive gain"))
     k_p: float = field(default=1.5, metadata=dict(help="steering proportional gain"))
     input_tau: float = field(default=0.05, metadata=dict(

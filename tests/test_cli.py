@@ -297,11 +297,20 @@ class TestNeuronKeys:
         ("solve", "[neurons]\n", "solve_n_neurons = 0",
          "[neurons] solve_n_neurons must be > 0, got 0"),
         ("arm", "[arm]\n", "l2 = 0", "[arm] l1..l3 and m1..m3 must be > 0"),
-        ("arm", "[arm]\n", "payload_mass = -0.5", "[arm] payload_mass must be >= 0"),
+        ("arm", "[arm]\n", "payload_mass = -0.5", "[arm] payload_mass must be > 0, got -0.5"),
         ("convert", "[convert]\nn_inputs = 3\nlayers = 4 6 2\n", "presentation_time = nan",
          "[convert] presentation_time must be finite, got nan"),
         ("rover", FAST_ROVER, "max_rate_hi = 0",
          "[rover] max_rate_lo and max_rate_hi must satisfy 0 < lo < hi"),
+        ("arm", "[arm]\n", "reach_duration = 0.0004",
+         "[arm] reach_duration must round to at least one step of dt = 0.001, got 0.0004"),
+        ("tune", "[neurons]\n", "tune_window = 0.0004",
+         "[neurons] tune_window must round to at least one step of dt = 0.001, got 0.0004"),
+        *(("arm", "[arm]\n", f"{key} = 0", f"[arm] {key} must be > 0, got 0.0")
+          for key in ("payload_mass", "path_tau", "vel_bound",
+                      "limit_q1", "limit_q2", "limit_q3")),
+        *(("rover", "[rover]\n", f"{key} = 0", f"[rover] {key} must be > 0, got 0.0")
+          for key in ("radius", "wheelbase", "max_steer")),
     ], ids=["tune-negative-tau_rc", "solve-zero-tau_rc", "convert-negative-amplitude",
             "convert-zero-scale_firing_rates", "convert-short-presentation_time",
             "tune-negative-tune_points", "solve-negative-solve_points",
@@ -311,7 +320,11 @@ class TestNeuronKeys:
             "tune-zero-tune_window", "tune-zero-tune_points",
             "solve-zero-solve_n_neurons", "arm-zero-link-length",
             "arm-negative-payload_mass", "convert-nan-presentation_time",
-            "rover-zero-max_rate_hi"])
+            "rover-zero-max_rate_hi", "arm-sub-step-reach_duration",
+            "tune-sub-step-tune_window", "arm-zero-payload_mass", "arm-zero-path_tau",
+            "arm-zero-vel_bound", "arm-zero-limit_q1", "arm-zero-limit_q2",
+            "arm-zero-limit_q3", "rover-zero-radius", "rover-zero-wheelbase",
+            "rover-zero-max_steer"])
     def test_invalid_value_exits_1(self, tmp_path, capsys, command, cfg_text,
                                    override, message):
         cfg = write_cfg(tmp_path, cfg_text + override + "\n")
@@ -362,3 +375,27 @@ class TestThreadCount:
             outs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
         assert len(outs[0]) >= 1
         assert outs[0] == outs[1]
+
+
+class TestStartup:
+    def test_scipy_loads_only_for_a_decoder_solve(self, tmp_path):
+        """tune, convert and arm solve no decoders, so in a fresh interpreter
+        they run without loading scipy; solve loads it for its Cholesky."""
+        runs = []
+        for command, text in (("tune", FAST_TUNE), ("convert", FAST_CONVERT),
+                              ("arm", FAST_ARM), ("solve", FAST_SOLVE)):
+            (tmp_path / command).mkdir()
+            runs.append([command, "--config", write_cfg(tmp_path / command, text),
+                         "--out", str(tmp_path / command / "out")])
+        code = (
+            "import sys\n"
+            "import nefsim.arm, nefsim.cli, nefsim.convert, nefsim.rover\n"
+            "assert 'scipy' not in sys.modules\n"
+            f"for args in {runs[:-1]!r}:\n"
+            "    assert nefsim.cli.main(args) == 0, args\n"
+            "    assert 'scipy' not in sys.modules, args\n"
+            f"assert nefsim.cli.main({runs[-1]!r}) == 0\n"
+            "assert 'scipy.linalg' in sys.modules\n")
+        src = str(Path(nefsim.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})

@@ -220,3 +220,12 @@ class TestNetFile:
         path.write_text("# a net\nlayers: 2 x\n")
         with pytest.raises(ConfigError, match=re.escape(f"net file {path}, line 2: invalid")):
             read_net_file(path)
+
+    @pytest.mark.parametrize("record", ["W 0 0 0 0.5", "W 1 0 -1 0.5", "b 1 -1 2.0"])
+    def test_out_of_range_index_names_file_and_line(self, tmp_path, record):
+        """Layer 0 and negative indices are rejected, not wrapped round to
+        the last layer, row or column."""
+        path = tmp_path / "net.txt"
+        path.write_text(f"layers: 2 3 1\n{record}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"net file {path}, line 2: ")):
+            read_net_file(path)
