@@ -35,24 +35,20 @@ GRAVITY = 9.81             # m/s^2
 class ArmModel:
     """Planar 3-link arm with an optional point payload at the end effector.
 
-    Centers of mass sit at link midpoints; link inertias default to thin-rod
-    values m*l^2/12 about the COM.  Gravity acts along -y of the plane.
+    Centers of mass sit at link midpoints; link inertias are thin-rod values
+    m*l^2/12 about the COM.  Gravity acts along -y of the plane.
     """
 
-    def __init__(self, lengths=LENGTHS, masses=MASSES, inertias=None, gravity=GRAVITY,
+    def __init__(self, lengths=LENGTHS, masses=MASSES, gravity=GRAVITY,
                  joint_limits=((-math.pi, math.pi),) * 3, payload_mass=0.0):
         self.lengths = tuple(float(l) for l in lengths)
         self.masses = tuple(float(m) for m in masses)
-        self.inertias = (
-            tuple(float(i) for i in inertias) if inertias is not None
-            else tuple(m * l * l / 12.0 for m, l in zip(self.masses, self.lengths))
-        )
         self.gravity = float(gravity)
         self.joint_limits = tuple((float(lo), float(hi)) for lo, hi in joint_limits)
         self.payload_mass = float(payload_mass)
         l1, l2, l3 = self.lengths
         m1, m2, m3 = self.masses
-        i1, i2, i3 = self.inertias
+        i1, i2, i3 = (m * l * l / 12.0 for m, l in zip(self.masses, self.lengths))
         r1, r2, r3 = l1 / 2.0, l2 / 2.0, l3 / 2.0
         mp = self.payload_mass
         # constant diagonal of H and the three cosine coupling coefficients
@@ -438,7 +434,6 @@ class ArmConfig:
     max_rate_range: tuple = field(default=(175.0, 220.0), metadata=dict(
         unit="Hz", keys={"max_rate_lo": "adaptive ensemble max-rate low",
                          "max_rate_hi": "adaptive ensemble max-rate high"}))
-    intercept_range: tuple = (-1.0, 1.0)
     # empirical boundedness ceiling
     u_adapt_limit: float = field(default=30.0, metadata=dict(
         unit="N*m", help="adaptive torque boundedness ceiling"))
@@ -464,8 +459,8 @@ class ArmConfig:
     def __post_init__(self):
         if not all(v > 0 for v in (*self.lengths, *self.masses)):
             raise ValueError("l1..l3 and m1..m3 must be > 0")
-        if not self.payload_mass >= 0:
-            raise ValueError("payload_mass must be >= 0")
+        if not self.payload_mass > 0:  # else the two PD baselines coincide
+            raise ValueError(f"payload_mass must be > 0, got {self.payload_mass!r}")
 
     def nominal_model(self):
         return self.plant_model(0.0)
@@ -481,19 +476,17 @@ def build_adaptive_net(cfg: ArmConfig, seed=None):
     torques out through a zero-initialized learned connection; the error node
     feeds the learning rule directly."""
     g = gr.ModelGraph(dt=cfg.dt, neuron_params=cfg.neuron_params)
-    g.register_function("zero_torques", lambda v: np.zeros(3))
     g.add_node(gr.NodeSpec("context", 7, gr.EXTERNAL_INPUT))
     g.add_node(gr.NodeSpec("training_error", 3, gr.EXTERNAL_INPUT))
     g.add_node(gr.NodeSpec("u_adapt", 3, gr.EXTERNAL_OUTPUT))
     g.add_ensemble(gr.Ensemble(
         "adapt", n_neurons=cfg.n_neurons, dimensions=7, radius=1.0,
-        neuron_model="lif", max_rate_range=cfg.max_rate_range,
-        intercept_range=cfg.intercept_range, seed=seed,
+        neuron_model="lif", max_rate_range=cfg.max_rate_range, seed=seed,
     ))
     g.connect(gr.ConnectionSpec("context_in", "context", "adapt",
                                 synapse=cfg.tau_input))
     g.connect(gr.ConnectionSpec(
-        "adapt_out", "adapt", "u_adapt", function_tag="zero_torques",
+        "adapt_out", "adapt", "u_adapt", function=lambda v: np.zeros(3),
         transform=np.eye(3), synapse=cfg.tau_learn,
         learning=gr.PESConfig(cfg.kappa, "training_error"),
     ))
@@ -589,6 +582,12 @@ def _run_session(cfg: ArmConfig, task: ReachTask, controller, session,
     return SessionResult(records=records, max_u_adapt=max_ua)
 
 
+def _check_controller(controller):
+    if controller not in CONTROLLERS:
+        raise ValueError(f"unknown arm controller {controller!r}; "
+                         f"choose one of {', '.join(CONTROLLERS)}")
+
+
 def run_reach_experiment(cfg: ArmConfig, task: ReachTask, controller, seed,
                          trajectory=None):
     """Per-session runs of one controller; adaptive controllers get a fresh
@@ -596,7 +595,13 @@ def run_reach_experiment(cfg: ArmConfig, task: ReachTask, controller, seed,
 
     The non-neural controllers consume no randomness, so their sessions are
     bit-identical repeats; session 0 is simulated and the rest replicated.
+    An unknown controller or a reach shorter than half a step raises
+    ValueError.
     """
+    _check_controller(controller)
+    if round(task.duration / cfg.dt) < 1:
+        raise ValueError(f"reach_duration {task.duration!r} s rounds to no step "
+                         f"of dt = {cfg.dt!r} s")
     adaptive = controller in (ADAPTIVE_REFERENCE, ADAPTIVE_FIXED)
     results = []
     for session in range(task.n_sessions):
@@ -632,6 +637,8 @@ def run_arm_protocol(cfg: ArmConfig, task: ReachTask, seed,
     records and {controller: its SessionResults}.
     """
     needed = list(dict.fromkeys([PD_NOLOAD, PD_LOAD] + list(controllers)))
+    for c in needed:  # before any session runs
+        _check_controller(c)
     sessions = {c: run_reach_experiment(cfg, task, c, seed, trajectory=trajectory)
                 for c in needed}
     e0 = {(r.session, r.trial): r.error_raw

@@ -1,11 +1,17 @@
-"""Compile a validated ModelGraph into a runnable CompiledModel.
+"""Compile a ModelGraph into a runnable CompiledModel.
+
+`compile_graph` is the one validation gate: it runs ``graph.validate()`` on
+every call and raises BuildError listing every diagnostic, so nothing below
+it sees a graph with structural faults.
 
 Build steps, the same for every backend: sample encoders and evaluation
 points, solve gains/biases from max-rate/intercept draws, solve decoders by
-regularized least squares on the rate-model activity matrix, and fold
-decoder/transform/encoder chains into one float weight matrix per connection.
-`lower` then copies the model for a backend: ``fixed`` adds a quantized copy
-of every weight matrix and selects quantized neuron stepping at run time.
+regularized least squares on the rate-model activity matrix (a decoded
+connection's targets are its ``function`` applied to each point, the point
+itself when that is None), and fold decoder/transform/encoder chains into
+one float weight matrix per connection.  `lower` then copies the model for a
+backend: ``fixed`` adds a quantized copy of every weight matrix and selects
+quantized neuron stepping at run time.
 
 All randomness comes from per-ensemble streams derived from (seed, ensemble
 id, ensemble seed), so build results are independent of iteration order and
@@ -233,13 +239,13 @@ def _apply_function(fn, points):
     return np.vstack(rows)
 
 
-def _solve_ensemble(graph, ce: CompiledEnsemble, conns, probed, reg):
+def _solve_ensemble(ce: CompiledEnsemble, conns, probed, reg):
     """Decoders of `conns` by connection id, and ce's identity decoders if
     `probed`, from one solve on one activity matrix over ce.eval_points: the
     targets are stacked column-wise and the decoders split back."""
     pts = ce.eval_points
-    targets = [pts if c.function_tag is None
-               else _apply_function(graph.function(c.function_tag), pts) for c in conns]
+    targets = [pts if c.function is None else _apply_function(c.function, pts)
+               for c in conns]
     if probed:
         targets.append(pts)
     try:
@@ -256,7 +262,8 @@ def _solve_ensemble(graph, ce: CompiledEnsemble, conns, probed, reg):
 def compile_graph(graph: gr.ModelGraph, backend=REFERENCE, seed=0,
                   qspec: QuantizationSpec | None = None, reg=DEFAULT_REG,
                   eval_points: dict | None = None) -> CompiledModel:
-    """Build a validated graph and lower it to `backend`.
+    """Validate `graph`, build it and lower it to `backend`; a graph with
+    any diagnostic raises BuildError naming them all.
 
     `eval_points` optionally overrides the decoder-solving points per source
     ensemble id (used when the operating region is not the full ball).
@@ -302,8 +309,7 @@ def _build(graph: gr.ModelGraph, seed, reg, eval_points) -> CompiledModel:
     # before the next one is computed.
     solves = {}
     for conn in graph.connections:
-        if (conn.source in graph._ensembles and conn.learning is None
-                and conn.decoders is None):
+        if conn.source in ens_index and conn.learning is None and conn.decoders is None:
             solves.setdefault(conn.source, []).append(conn)
     probe_targets = {p.target for p in graph.probes if p.quantity == gr.DECODED_OUTPUT}
     decoders = {}
@@ -316,7 +322,7 @@ def _build(graph: gr.ModelGraph, seed, reg, eval_points) -> CompiledModel:
             ce.eval_points = sample_eval_points(
                 default_eval_count(ce.n), ce.dims, ce.radius, streams[ce.id]
             )
-        decoders.update(_solve_ensemble(graph, ce, solves.get(ce.id, ()),
+        decoders.update(_solve_ensemble(ce, solves.get(ce.id, ()),
                                         ce.id in probe_targets, reg))
 
     compiled_conns = []
@@ -326,7 +332,7 @@ def _build(graph: gr.ModelGraph, seed, reg, eval_points) -> CompiledModel:
         tgt = ens_index.get(conn.target)
         tgt_enc = None if tgt is None else compiled_ens[tgt].encoders
 
-        if conn.source in graph._ensembles:
+        if conn.source in ens_index:
             src = compiled_ens[ens_index[conn.source]]
             if conn.learning is not None:
                 d = np.zeros((src.n, T.shape[1]))

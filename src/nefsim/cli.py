@@ -112,11 +112,10 @@ def run_solve(cfg, seed):
     fn = _SOLVE_FUNCTIONS[name]
     n = cfg.get("neurons", "solve_n_neurons")
     graph = ModelGraph(dt=cfg.get(GLOBAL, "dt"), neuron_params=cfg.make(NeuronParams))
-    graph.register_function(name, fn)
     graph.add_ensemble(Ensemble("ens", n_neurons=n, dimensions=1,
                                 neuron_model=RATE_LIF, seed=seed))
     graph.add_node(NodeSpec("out", 1))
-    graph.connect(ConnectionSpec("decode", "ens", "out", function_tag=name))
+    graph.connect(ConnectionSpec("decode", "ens", "out", function=fn))
     rng = stream(seed, "solve", "eval")
     n_eval = max(cfg.get("neurons", "eval_points_min"),
                  cfg.get("neurons", "eval_points_per_neuron") * n)

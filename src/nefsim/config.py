@@ -20,6 +20,7 @@ from .build import BACKENDS, DEFAULT_REG, EVAL_POINTS_MIN, EVAL_POINTS_PER_NEURO
 from .convert import ConversionConfig
 from .errors import ConfigError, ConfigTypeError, DuplicateKeyError, UnknownKeyError
 from .neurons import DEFAULT_DT, NeuronParams, QuantizationSpec
+from .rover import CONTROLLERS as ROVER_CONTROLLERS
 from .rover import RoverNetConfig, RoverParams, RoverTaskConfig
 
 GLOBAL = "global"
@@ -100,7 +101,7 @@ SCHEMA = {
     },
     "rover": {
         **_field_keys(DATACLASSES["rover"]),
-        "controller": _enum(("neural", "analytic")),
+        "controller": _enum(ROVER_CONTROLLERS),
         "bench_preset_small": Key(int, RoverNetConfig.n_neurons, "",
                                   "bench neuron-count preset"),
         "bench_preset_large": Key(int, 4096, "", "bench neuron-count preset"),

@@ -67,7 +67,7 @@ class ConversionConfig:
         unit="s", help="output low-pass"))
     inter_layer_tau: float = field(default=0.0, metadata=dict(
         unit="s", help="between spiking layers; 0 = none"))
-    flavor: str = SPIKING
+    flavor: str = SPIKING  # or SPIKING_QUANTIZED, on the fixed-point backend
     presentation_time: float = field(default=0.5, metadata=dict(
         unit="s", help="time per input"))
     dt: float = DEFAULT_DT
@@ -76,6 +76,9 @@ class ConversionConfig:
     qspec: QuantizationSpec = QuantizationSpec()
 
     def __post_init__(self):
+        if self.flavor not in (SPIKING, SPIKING_QUANTIZED):
+            raise ValueError(f"unknown flavor {self.flavor!r}; "
+                             f"choose one of {SPIKING}, {SPIKING_QUANTIZED}")
         if not self.scale_firing_rates > 0:
             raise ValueError("scale_firing_rates must be > 0")
         if not self.presentation_time >= 10.0 * self.output_tau:
@@ -196,13 +199,14 @@ def fidelity_report(net: DenseNetSpec, cfg: ConversionConfig, inputs,
                           output_range=output_range)
 
 
-def random_dense_net(sizes, rng, weight_scale=None, bias_scale=0.1):
-    """Random net with fan-in scaled weights (outputs stay O(1))."""
+def random_dense_net(sizes, rng):
+    """Random net with fan-in scaled weights (outputs stay O(1)) and biases
+    of standard deviation 0.1."""
     weights, biases = [], []
     for l in range(1, len(sizes)):
-        scale = weight_scale if weight_scale is not None else 1.0 / math.sqrt(sizes[l - 1])
+        scale = 1.0 / math.sqrt(sizes[l - 1])
         weights.append(scale * rng.standard_normal((sizes[l], sizes[l - 1])))
-        biases.append(bias_scale * rng.standard_normal(sizes[l]))
+        biases.append(0.1 * rng.standard_normal(sizes[l]))
     return DenseNetSpec(sizes=tuple(sizes), weights=weights, biases=biases)
 
 

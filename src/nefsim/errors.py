@@ -13,19 +13,11 @@ class UnknownEndpointError(NefError):
     pass
 
 
-class UnknownFunctionError(NefError):
-    pass
-
-
 class ShapeMismatchError(NefError):
     pass
 
 
 class LearningOnNodeError(NefError):
-    pass
-
-
-class FrozenGraphError(NefError):
     pass
 
 

@@ -1,27 +1,27 @@
 """Declarative network description, decoupled from any backend.
 
-A ModelGraph collects ensembles, nodes, connections, and probes plus a
-graph-local registry of named vector functions.  Registration-time checks
-catch structural mistakes (duplicate ids, unknown endpoints, bad transform
-shapes, learning on node sources); value-level invariants are deferred to
-``validate()``, which returns diagnostics as data.  A graph that validates
-clean is frozen and can be compiled; compilation cannot then fail on
-structural grounds.
+A ModelGraph collects ensembles, nodes, connections and probes; a decoded
+connection carries the function it computes (a vector -> vector callable,
+None for identity).  Construction-time checks catch structural mistakes
+(duplicate ids, unknown endpoints, bad transform shapes, learning on node
+sources); value-level invariants are deferred to ``validate()``, which
+returns diagnostics as data and changes nothing.  ``compile_graph`` runs it
+on every compile and refuses a graph that has any, so a graph may grow
+after a clean validation and compiles what it then holds.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DuplicateIdError,
-    FrozenGraphError,
     LearningOnNodeError,
     ShapeMismatchError,
     UnknownEndpointError,
-    UnknownFunctionError,
 )
 from .neurons import ALL_MODELS, DEFAULT_DT, LIF_FAMILY, NeuronParams, rate_ceiling
 
@@ -81,7 +81,7 @@ class ConnectionSpec:
     id: str
     source: str
     target: str
-    function_tag: str | None = None      # None = identity
+    function: Callable | None = None     # vector -> vector; None = identity
     transform: np.ndarray | None = None  # (target_dims, function_output_dims)
     synapse: float | None = None         # low-pass time constant [s]; None = unfiltered
     learning: PESConfig | None = None
@@ -117,8 +117,6 @@ class ModelGraph:
         self._nodes: dict[str, NodeSpec] = {}
         self._connections: dict[str, ConnectionSpec] = {}
         self._probes: dict[str, ProbeSpec] = {}
-        self._functions: dict[str, callable] = {}
-        self._frozen = False
 
     # -- canonical (id-sorted) views ------------------------------------
     @property
@@ -146,34 +144,18 @@ class ModelGraph:
     def connection(self, id):
         return self._connections[id]
 
-    def function(self, tag):
-        return self._functions[tag]
-
     # -- construction ----------------------------------------------------
-    def _check_mutable(self):
-        if self._frozen:
-            raise FrozenGraphError("graph is frozen after successful validation")
-
     def _check_unused(self, id):
         if id in self._ensembles or id in self._nodes or id in self._connections \
                 or id in self._probes:
             raise DuplicateIdError(f"id {id!r} already used in graph")
 
-    def register_function(self, tag, fn):
-        """Register a pure vector -> vector callback under `tag`."""
-        self._check_mutable()
-        if tag in self._functions:
-            raise DuplicateIdError(f"function {tag!r} already registered")
-        self._functions[tag] = fn
-
     def add_ensemble(self, ensemble: Ensemble):
-        self._check_mutable()
         self._check_unused(ensemble.id)
         self._ensembles[ensemble.id] = ensemble
         return self
 
     def add_node(self, node: NodeSpec):
-        self._check_mutable()
         self._check_unused(node.id)
         self._nodes[node.id] = node
         return self
@@ -185,17 +167,7 @@ class ModelGraph:
             return self._nodes[id].dimensions
         raise UnknownEndpointError(f"no ensemble or node with id {id!r}")
 
-    def function_output_dims(self, tag, input_dims):
-        """Output dimensionality of a registered function, probed at zero."""
-        if tag is None:
-            return input_dims
-        if tag not in self._functions:
-            raise UnknownFunctionError(f"function {tag!r} is not registered")
-        out = np.atleast_1d(np.asarray(self._functions[tag](np.zeros(input_dims)), dtype=float))
-        return out.shape[0]
-
     def connect(self, spec: ConnectionSpec):
-        self._check_mutable()
         self._check_unused(spec.id)
         src_dims = self._endpoint_dims(spec.source)
         tgt_dims = self._endpoint_dims(spec.target)
@@ -203,8 +175,10 @@ class ModelGraph:
             # explicit decoders define the decoded dimensionality directly
             spec.decoders = np.atleast_2d(np.asarray(spec.decoders, dtype=float))
             k = spec.decoders.shape[1]
-        else:
-            k = self.function_output_dims(spec.function_tag, src_dims)
+        elif spec.function is None:
+            k = src_dims
+        else:  # the function's output size, probed at zero
+            k = np.atleast_1d(np.asarray(spec.function(np.zeros(src_dims)), float)).shape[0]
         if spec.transform is None:
             if tgt_dims != k:
                 raise ShapeMismatchError(
@@ -227,7 +201,6 @@ class ModelGraph:
         return self
 
     def add_probe(self, spec: ProbeSpec):
-        self._check_mutable()
         self._check_unused(spec.id)
         self._probes[spec.id] = spec
         return self
@@ -236,8 +209,8 @@ class ModelGraph:
     def validate(self):
         """Return all invariant violations and dangling references.
 
-        An empty list means the graph is structurally sound; the graph is then
-        frozen and compilation cannot fail on structural grounds.
+        An empty list means the graph is structurally sound, so compilation
+        cannot fail on structural grounds.  The graph is not changed.
         """
         diags = []
 
@@ -247,7 +220,6 @@ class ModelGraph:
         if not self.dt > 0:
             bad("InvalidParam", "graph", "dt must be > 0")
 
-        ceiling = {}
         for ens in self.ensembles:
             if ens.n_neurons < 1:
                 bad("InvalidParam", ens.id, "n_neurons must be >= 1")
@@ -288,40 +260,45 @@ class ModelGraph:
             if conn.source in self._nodes:
                 if self._nodes[conn.source].kind == EXTERNAL_OUTPUT:
                     bad("InvalidParam", conn.id, "ExternalOutput nodes have no outbound connections")
-                if conn.function_tag is not None or conn.decoders is not None:
+                if conn.function is not None or conn.decoders is not None:
                     bad("InvalidParam", conn.id,
                         "functions and decoders apply to decoded ensemble outputs only")
-            elif conn.decoders is not None and conn.learning is not None:
-                bad("InvalidParam", conn.id, "learned connections start from zero decoders")
             elif conn.decoders is not None:
                 n, k = self._ensembles[conn.source].n_neurons, conn.transform.shape[1]
-                if conn.decoders.shape != (n, k):
+                if conn.learning is not None:
+                    bad("InvalidParam", conn.id, "learned connections start from zero decoders")
+                elif conn.decoders.shape != (n, k):
                     bad("ShapeMismatch", conn.id,
                         f"decoders shape {conn.decoders.shape} != ({n}, {k})")
+                if conn.function is not None:
+                    bad("InvalidParam", conn.id,
+                        "explicit decoders replace the function: give one, not both")
             if conn.target in self._nodes and self._nodes[conn.target].kind == EXTERNAL_INPUT:
                 bad("InvalidParam", conn.id, "ExternalInput nodes have no inbound connections")
-            if conn.function_tag is not None and conn.function_tag not in self._functions:
-                bad("UnknownFunction", conn.id, f"function {conn.function_tag!r} not registered")
             if conn.synapse is not None and not conn.synapse > 0:
                 bad("InvalidParam", conn.id, "synapse, when present, must be > 0")
             if conn.learning is not None:
                 if not conn.learning.learning_rate > 0:
                     bad("InvalidParam", conn.id, "learning_rate must be > 0")
                 err = conn.learning.error_source
+                err_conn = self._connections.get(err) if err != conn.id else None
                 err_dims = None
                 if err in self._nodes:
                     err_dims = self._nodes[err].dimensions
-                elif err in self._connections and err != conn.id:
-                    err_dims = self._connections[err].transform.shape[0]
-                else:
+                elif err_conn is None:
                     bad("UnknownEndpoint", conn.id,
                         f"error_source {err!r} is not a node or connection")
+                elif err_conn.target in self._ensembles:
+                    bad("InvalidParam", conn.id, f"error_source {err!r} feeds ensemble "
+                        f"{err_conn.target!r}, so it carries neuron input, not an error")
+                else:
+                    err_dims = err_conn.transform.shape[0]
                 if err_dims is not None and err_dims != conn.transform.shape[1]:
                     bad("ShapeMismatch", conn.id, f"error dims {err_dims} != "
                         f"connection output dims {conn.transform.shape[1]}")
 
         # Passthrough cycles cannot be evaluated in one step.
-        for nid in self._node_sort()[1]:
+        for nid in sorted(self._nodes.keys() - set(self.node_order())):
             bad("CyclicNodes", nid, "node value depends on itself within a step")
 
         for probe in self.probes:
@@ -339,40 +316,28 @@ class ModelGraph:
                 if probe.sample_every < self.dt or abs(ratio - round(ratio)) > 1e-9:
                     bad("InvalidParam", probe.id, "sample_every must be a multiple of dt")
 
-        if not diags:
-            self._frozen = True
         return diags
 
-    def _node_sort(self):
-        """Kahn's sort of the nodes over node->node connections, ties broken
-        by id: (evaluation order, sorted ids left on or behind a cycle)."""
+    def node_order(self):
+        """Ids of the nodes in a per-step evaluation order: Kahn's sort over
+        node->node connections, ties broken by id.  Nodes on or behind a
+        cycle are left out; validate() reports them."""
         pending = {nid: set() for nid in self._nodes}
         for conn in self.connections:
             if conn.source in self._nodes and conn.target in self._nodes:
                 pending[conn.target].add(conn.source)
-        order, seen = [], set()
-        while pending:
-            ready = sorted(nid for nid, deps in pending.items() if deps <= seen)
-            if not ready:
-                break
+        order = []
+        while ready := sorted(nid for nid, deps in pending.items() if deps <= set(order)):
             for nid in ready:
-                seen.add(nid)
                 order.append(nid)
                 del pending[nid]
-        return order, sorted(pending)
-
-    def node_order(self):
-        """Ids of all nodes in a per-step evaluation order (within-step
-        node->node dependencies first, ties broken by id)."""
-        order, cyclic = self._node_sort()
-        if cyclic:
-            raise ValueError("cyclic node dependencies")
         return order
 
     # -- canonical form ----------------------------------------------------
     def canonical_form(self):
         """Hashable content summary; equal for any construction order that
-        describes the same graph."""
+        describes the same graph.  A connection's function is keyed by
+        identity: the same callable object, not an equal computation."""
 
         def arr(a):
             return None if a is None else (np.asarray(a, float).shape,
@@ -388,7 +353,7 @@ class ModelGraph:
         )
         nodes = tuple((n.id, n.dimensions, n.kind) for n in self.nodes)
         conns = tuple(
-            (c.id, c.source, c.target, c.function_tag, arr(c.transform),
+            (c.id, c.source, c.target, c.function, arr(c.transform),
              c.synapse,
              None if c.learning is None else (c.learning.learning_rate,
                                               c.learning.error_source),
@@ -397,5 +362,4 @@ class ModelGraph:
         )
         probes = tuple((p.id, p.target, p.quantity, p.synapse, p.sample_every)
                        for p in self.probes)
-        funcs = tuple(sorted(self._functions))
-        return (self.dt, ens, nodes, conns, probes, funcs)
+        return (self.dt, ens, nodes, conns, probes)

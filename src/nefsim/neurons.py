@@ -321,6 +321,8 @@ def measured_rate_curve(J_points, dt, params: NeuronParams, model,
     state = SpikingState(J.size)
     n_settle = int(round(settle / dt))
     n_window = int(round(window / dt))
+    if n_window < 1:
+        raise ValueError(f"window {window!r} s rounds to no step of dt = {dt!r} s")
     for _ in range(n_settle):
         _step_spiking(state, J, dt, params, model, qspec)
     counts = np.zeros(J.size)

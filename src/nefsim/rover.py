@@ -20,6 +20,21 @@ from .engine import Simulator
 from .neurons import DEFAULT_DT, NeuronParams, QuantizationSpec, solve_gain_bias
 from .seeding import stream
 
+CONTROLLERS = ("neural", "analytic")
+
+# Steering-ensemble tuning.  The steering command flips sign across the
+# lateral axis when the target is behind, so a share of the population gets
+# encoders hugging +-x with intercepts just above zero; their steep onsets
+# let the decoder realize that transition sharply.
+STEER_ENS_RADIUS = 1.4  # covers the (target disk) x (angle) box
+LATERAL_FRACTION = 0.5
+LATERAL_JITTER = 0.15
+LATERAL_INTERCEPTS = (0.0, 0.1)
+# The steering law needs a denser eval set than the package-wide default.
+EVAL_PER_NEURON = 4
+# law_fidelity's grid: points per axis (even, see there) and steering angles
+FIDELITY_GRID, FIDELITY_ANGLES = 40, 5
+
 
 @dataclass(frozen=True)
 class RoverParams:
@@ -108,18 +123,9 @@ class RoverNetConfig:
     # normalizes the encoded steering angle; read from the plant's key
     max_steer: float = field(default=RoverParams.max_steer,
                              metadata=dict(key="max_steer"))
-    # Steering-ensemble tuning.  The steering command flips sign across the
-    # lateral axis when the target is behind, so a share of the population
-    # gets encoders hugging +-x with intercepts just above zero; their steep
-    # onsets let the decoder realize that transition sharply.
-    steer_ens_radius: float = 1.4  # covers the (target disk) x (angle) box
-    lateral_fraction: float = 0.5
-    lateral_jitter: float = 0.15
-    lateral_intercepts: tuple = (0.0, 0.1)
-    # The steering law needs a sharper fit than the package-wide defaults:
-    # light regularization plus a denser eval set.
+    # The steering law needs a sharper fit than the package-wide default
+    # regularization (and a denser eval set, EVAL_PER_NEURON).
     solver_reg: float = 0.01
-    eval_per_neuron: int = 4
     # neuron constants and fixed-point widths, read from the [neurons] keys
     neuron_params: NeuronParams = NeuronParams()
     qspec: QuantizationSpec = QuantizationSpec()
@@ -149,16 +155,16 @@ def rover_eval_points(cfg: RoverNetConfig, n, dims, rng):
 
 def _steer_tuning(cfg: RoverNetConfig, n, rng, params):
     """Mixed tuning for the steering ensemble: uniform encoders plus a
-    lateral-axis share with tight intercepts (see RoverNetConfig)."""
+    lateral-axis share with tight intercepts (see LATERAL_FRACTION)."""
     enc = sample_encoders(n, 3, rng)
-    n_lat = int(round(cfg.lateral_fraction * n))
+    n_lat = int(round(LATERAL_FRACTION * n))
     sign = np.where(rng.random(n_lat) < 0.5, -1.0, 1.0)
-    jitter = cfg.lateral_jitter * rng.standard_normal((n_lat, 2))
+    jitter = LATERAL_JITTER * rng.standard_normal((n_lat, 2))
     lateral = np.column_stack([sign, jitter])
     enc[:n_lat] = lateral / np.linalg.norm(lateral, axis=1)[:, None]
     max_rates = rng.uniform(*cfg.max_rate_range, n)
     intercepts = rng.uniform(-1.0, 1.0, n)
-    intercepts[:n_lat] = rng.uniform(*cfg.lateral_intercepts, n_lat)
+    intercepts[:n_lat] = rng.uniform(*LATERAL_INTERCEPTS, n_lat)
     gain, bias = solve_gain_bias(max_rates, intercepts, params, "lif")
     return gr.ExplicitTuning(encoders=enc, gain=gain, bias=bias)
 
@@ -176,9 +182,6 @@ def build_rover_net(cfg: RoverNetConfig, seed=0):
     def steer_cmd(v):
         return np.array([steer_law(v[0], v[1], q_max * v[2], k_p)])
 
-    g.register_function("accel_cmd", accel_cmd)
-    g.register_function("steer_cmd", steer_cmd)
-
     g.add_node(gr.NodeSpec("target_in", 2, gr.EXTERNAL_INPUT))
     g.add_node(gr.NodeSpec("steer_in", 1, gr.EXTERNAL_INPUT))
     g.add_node(gr.NodeSpec("cmd_out", 2, gr.EXTERNAL_OUTPUT))
@@ -189,7 +192,7 @@ def build_rover_net(cfg: RoverNetConfig, seed=0):
     ))
     g.add_ensemble(gr.Ensemble(
         "steer_ens", n_neurons=cfg.n_neurons, dimensions=3,
-        radius=cfg.steer_ens_radius, neuron_model="lif",
+        radius=STEER_ENS_RADIUS, neuron_model="lif",
         max_rate_range=cfg.max_rate_range, seed=seed + 1,
         fixed_tuning=_steer_tuning(cfg, cfg.n_neurons,
                                    stream(seed, "rover", "steer_tuning"),
@@ -207,10 +210,10 @@ def build_rover_net(cfg: RoverNetConfig, seed=0):
         transform=np.array([[0.0], [0.0], [1.0 / q_max]]),
         synapse=cfg.steer_input_tau))
     g.connect(gr.ConnectionSpec(
-        "accel_out", "accel_ens", "cmd_out", function_tag="accel_cmd",
+        "accel_out", "accel_ens", "cmd_out", function=accel_cmd,
         transform=np.array([[1.0], [0.0]]), synapse=cfg.output_tau))
     g.connect(gr.ConnectionSpec(
-        "steer_out", "steer_ens", "cmd_out", function_tag="steer_cmd",
+        "steer_out", "steer_ens", "cmd_out", function=steer_cmd,
         transform=np.array([[0.0], [1.0]]), synapse=cfg.output_tau))
     return g
 
@@ -218,7 +221,7 @@ def build_rover_net(cfg: RoverNetConfig, seed=0):
 def compile_rover_net(cfg: RoverNetConfig, backend, seed=0):
     graph = build_rover_net(cfg, seed=seed)
     n_eval = max(default_eval_count(cfg.n_neurons),
-                 cfg.eval_per_neuron * cfg.n_neurons)
+                 EVAL_PER_NEURON * cfg.n_neurons)
     pts = {
         "accel_ens": rover_eval_points(cfg, n_eval, 2, stream(seed, "rover", "eval2")),
         "steer_ens": rover_eval_points(cfg, n_eval, 3, stream(seed, "rover", "eval3")),
@@ -286,6 +289,9 @@ def run_rover_task(task: RoverTaskConfig, net_cfg: RoverNetConfig, seed,
     body-frame estimate noise come from seeded streams, so runs are exactly
     reproducible.  Timeouts are recorded (t_capture = nan), not fatal.
     """
+    if controller not in CONTROLLERS:
+        raise ValueError(f"unknown rover controller {controller!r}; "
+                         f"choose one of {', '.join(CONTROLLERS)}")
     params = params or RoverParams(max_steer=net_cfg.max_steer)
     rng_targets = stream(seed, "rover", "targets")
     rng_noise = stream(seed, "rover", "noise")
@@ -348,7 +354,7 @@ def run_rover_task(task: RoverTaskConfig, net_cfg: RoverNetConfig, seed,
     return run
 
 
-def law_fidelity(net_cfg: RoverNetConfig, seed=0, n_grid=40, n_q=5):
+def law_fidelity(net_cfg: RoverNetConfig, seed=0):
     """Open-loop decode accuracy of both laws over a target grid (steering
     additionally swept over the steering angle), excluding the origin
     neighborhood where the angle is undefined.
@@ -365,7 +371,7 @@ def law_fidelity(net_cfg: RoverNetConfig, seed=0, n_grid=40, n_q=5):
     steer = model.ensemble("steer_ens")
     conn = {c.id: c for c in model.connections}
 
-    span = np.linspace(-0.98, 0.98, n_grid)
+    span = np.linspace(-0.98, 0.98, FIDELITY_GRID)
     gx, gy = np.meshgrid(span, span)
     pts2 = np.column_stack([gx.ravel(), gy.ravel()])
     norms = np.linalg.norm(pts2, axis=1)
@@ -379,9 +385,9 @@ def law_fidelity(net_cfg: RoverNetConfig, seed=0, n_grid=40, n_q=5):
                             for x, y in pts2])
     accel_rmse = float(np.sqrt(np.mean((decoded_accel - truth_accel) ** 2)))
 
-    qs = np.linspace(-0.8, 0.8, n_q)
+    qs = np.linspace(-0.8, 0.8, FIDELITY_ANGLES)
     pts3 = np.column_stack([
-        np.repeat(pts2, n_q, axis=0),
+        np.repeat(pts2, FIDELITY_ANGLES, axis=0),
         np.tile(qs, pts2.shape[0]),
     ])
     A3 = activity_matrix(steer, pts3)

@@ -22,7 +22,6 @@ def learning_graph(n_neurons=200, dims=2, kappa=1e-2, seed=3, tau_out=0.01,
     identity by default); the error node computes (decoded - target) from a
     fed-back copy of the output."""
     g = gr.ModelGraph(dt=0.001)
-    g.register_function("zero_out", lambda v: np.zeros(dims))
     g.add_node(gr.NodeSpec("stim", dims, gr.EXTERNAL_INPUT))
     g.add_node(gr.NodeSpec("target", dims, gr.EXTERNAL_INPUT))
     g.add_node(gr.NodeSpec("decoded", dims, gr.PASSTHROUGH))
@@ -32,7 +31,7 @@ def learning_graph(n_neurons=200, dims=2, kappa=1e-2, seed=3, tau_out=0.01,
                                neuron_model="lif", seed=seed))
     g.connect(gr.ConnectionSpec("c_in", "stim", "ens", synapse=None))
     g.connect(gr.ConnectionSpec("c_learn", "ens", "decoded",
-                                function_tag="zero_out",
+                                function=lambda v: np.zeros(dims),
                                 transform=np.eye(dims) if transform is None else transform,
                                 synapse=tau_out,
                                 learning=gr.PESConfig(kappa, "err")))

@@ -17,6 +17,7 @@ from nefsim.arm import (
     osc_control,
     project_hypersphere,
     run_arm_protocol,
+    run_reach_experiment,
     total_energy,
 )
 from nefsim.build import activity_matrix, compile_graph
@@ -272,6 +273,24 @@ class TestReachProtocol:
                 for r in a] == \
                [(r.session, r.trial, r.controller, r.error_raw, r.error_pct)
                 for r in b]
+
+    def test_zero_payload_rejected(self):
+        # the two PD baselines would coincide: every percent error divides by 0
+        with pytest.raises(ValueError, match=r"payload_mass must be > 0, got 0\.0"):
+            ArmConfig(payload_mass=0.0)
+
+    def test_sub_step_reach_rejected(self):
+        task = ReachTask(n_reaches=1, n_sessions=1, duration=0.0004)
+        with pytest.raises(ValueError, match=r"reach_duration 0\.0004 s rounds to no step"):
+            run_arm_protocol(ArmConfig(), task, seed=0)
+
+    def test_unknown_controller_rejected(self):
+        task = ReachTask(n_reaches=1, n_sessions=1, duration=0.01)
+        choices = "choose one of pd_noload, pd_load, pid, adaptive_reference, adaptive_fixed"
+        with pytest.raises(ValueError, match=f"'adaptive'; {choices}"):
+            run_reach_experiment(ArmConfig(), task, "adaptive", seed=0)
+        with pytest.raises(ValueError, match=f"'adaptive'; {choices}"):
+            run_arm_protocol(ArmConfig(), task, seed=0, controllers=("adaptive",))
 
     def test_baseline_sessions_replicated_identically(self):
         cfg = ArmConfig()

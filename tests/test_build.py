@@ -272,7 +272,6 @@ class TestCompile:
         """One 1-d rate-LIF ensemble read by two decoded connections (identity
         and square) and a decoded probe."""
         g = gr.ModelGraph(dt=0.001)
-        g.register_function("square", lambda v: v ** 2)
         g.add_ensemble(gr.Ensemble("ens", n_neurons=40, dimensions=1,
                                    neuron_model="rate_lif", seed=1,
                                    intercept_range=(0.9, 0.99)))
@@ -284,7 +283,7 @@ class TestCompile:
     def test_one_decoder_solve_per_source_ensemble(self, monkeypatch):
         g = self.decoded_graph()
         g.add_node(gr.NodeSpec("out2", 1))
-        g.connect(gr.ConnectionSpec("decode2", "ens", "out2", function_tag="square"))
+        g.connect(gr.ConnectionSpec("decode2", "ens", "out2", function=lambda v: v ** 2))
         calls = []
         solve = build.solve_decoders
         monkeypatch.setattr(build, "solve_decoders",

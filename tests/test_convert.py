@@ -74,6 +74,11 @@ class TestConvert:
         assert graph.node(OUTPUT).dimensions == 2
         assert model.ensemble("layer1").n == 16
 
+    def test_unknown_flavor_rejected(self):
+        with pytest.raises(ValueError,
+                           match="'quantized'; choose one of spiking, spiking_quantized"):
+            ConversionConfig(flavor="quantized")
+
     def test_needs_a_hidden_layer(self):
         with pytest.raises(ShapeMismatchError, match="hidden layer"):
             convert(toy_net(sizes=(8, 2)), ConversionConfig())

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nefsim import graph as gr
+from nefsim.build import compile_graph
+from nefsim.engine import Simulator
 from nefsim.errors import (
+    BuildError,
     DuplicateIdError,
-    FrozenGraphError,
     LearningOnNodeError,
     ShapeMismatchError,
     UnknownEndpointError,
@@ -66,8 +68,10 @@ class TestConstruction:
 class TestValidation:
     def test_control_style_graph_is_clean(self):
         # two ensembles fed by one input node, two decoded outputs
+        def norm(v):
+            return np.array([np.linalg.norm(v)])
+
         g = gr.ModelGraph()
-        g.register_function("norm", lambda v: np.array([np.linalg.norm(v)]))
         g.add_node(gr.NodeSpec("sense", 3, gr.EXTERNAL_INPUT))
         g.add_node(gr.NodeSpec("motor", 2, gr.EXTERNAL_OUTPUT))
         g.add_ensemble(gr.Ensemble("drive", n_neurons=64, dimensions=2))
@@ -75,16 +79,15 @@ class TestValidation:
         g.connect(gr.ConnectionSpec("s1", "sense", "drive",
                                     transform=np.eye(2, 3)))
         g.connect(gr.ConnectionSpec("s2", "sense", "steer"))
-        g.connect(gr.ConnectionSpec("o1", "drive", "motor", function_tag="norm",
+        g.connect(gr.ConnectionSpec("o1", "drive", "motor", function=norm,
                                     transform=[[1.0], [0.0]], synapse=0.02))
-        g.connect(gr.ConnectionSpec("o2", "steer", "motor", function_tag="norm",
+        g.connect(gr.ConnectionSpec("o2", "steer", "motor", function=norm,
                                     transform=[[0.0], [1.0]], synapse=0.02))
         assert g.validate() == []
 
     def test_dangling_error_source(self):
         g = small_graph()
-        g.register_function("z1", lambda v: np.zeros(1))
-        g.connect(gr.ConnectionSpec("c", "a", "out", function_tag="z1",
+        g.connect(gr.ConnectionSpec("c", "a", "out", function=lambda v: np.zeros(1),
                                     learning=gr.PESConfig(1e-3, "missing")))
         diags = g.validate()
         assert len(diags) == 1
@@ -126,12 +129,38 @@ class TestValidation:
         assert [(d.code, d.subject, d.message) for d in g.validate()] == [
             ("InvalidParam", "c", "learned connections start from zero decoders")]
 
-    def test_frozen_after_clean_validation(self):
+    def test_function_with_explicit_decoders_rejected(self):
+        g = small_graph()
+        g.connect(gr.ConnectionSpec("c", "a", "out", function=lambda v: v[:1],
+                                    decoders=np.ones((40, 1))))
+        assert [(d.code, d.subject, d.message) for d in g.validate()] == [
+            ("InvalidParam", "c", "explicit decoders replace the function: "
+             "give one, not both")]
+
+    def test_error_source_into_an_ensemble_rejected(self):
+        # the connection's value is the ensemble's neuron input (30 rows),
+        # not a 1-d error: at the first step PES would fail inside numpy
+        g = small_graph()
+        g.add_ensemble(gr.Ensemble("b", n_neurons=30, dimensions=1))
+        g.connect(gr.ConnectionSpec("into_b", "in", "b", transform=[[1.0, 0.0]]))
+        g.connect(gr.ConnectionSpec("c", "a", "out", function=lambda v: v[:1],
+                                    learning=gr.PESConfig(1e-3, "into_b")))
+        assert [(d.code, d.subject, d.message) for d in g.validate()] == [
+            ("InvalidParam", "c", "error_source 'into_b' feeds ensemble 'b', "
+             "so it carries neuron input, not an error")]
+        with pytest.raises(BuildError, match="into_b"):
+            compile_graph(g)
+
+    def test_graph_grows_after_clean_validation(self):
         g = small_graph()
         g.connect(gr.ConnectionSpec("c", "in", "a"))
         assert g.validate() == []
-        with pytest.raises(FrozenGraphError):
-            g.add_node(gr.NodeSpec("late", 1, gr.PASSTHROUGH))
+        g.add_node(gr.NodeSpec("late", 1, gr.EXTERNAL_OUTPUT))
+        g.connect(gr.ConnectionSpec("c_late", "a", "late", function=lambda v: v[1:]))
+        model = compile_graph(g)
+        assert [c.id for c in model.connections] == ["c", "c_late"]
+        out = Simulator(model).step({"in": (0.0, 0.5)})
+        assert set(out) == {"late", "out"} and out["late"].shape == (1,)
 
     def test_probe_sample_every_must_be_dt_multiple(self):
         g = small_graph()
@@ -153,11 +182,19 @@ class TestValidation:
         assert any(d.code == "CyclicNodes" for d in g.validate())
 
 
-def build_in_order(pick):
+def square(v):
+    return v ** 2
+
+
+def negate(v):
+    return -v
+
+
+def build_in_order(pick, c3_function=negate):
     """One graph, its parts added in the order `pick` chooses: every
-    ensemble, node, probe and registered function in any order, each
-    connection once its endpoints and function are in (`pick` takes the
-    sorted names of the parts that can be added next)."""
+    ensemble, node and probe in any order, each connection once its
+    endpoints are in (`pick` takes the sorted names of the parts that can be
+    added next)."""
     g = gr.ModelGraph()
     parts = {
         "n_in": ((), lambda: g.add_node(gr.NodeSpec("in", 1, gr.EXTERNAL_INPUT))),
@@ -165,15 +202,13 @@ def build_in_order(pick):
         "n_out": ((), lambda: g.add_node(gr.NodeSpec("out", 1, gr.EXTERNAL_OUTPUT))),
         "e_a": ((), lambda: g.add_ensemble(gr.Ensemble("a", 30, 1))),
         "e_b": ((), lambda: g.add_ensemble(gr.Ensemble("b", 30, 1, seed=4))),
-        "f_sq": ((), lambda: g.register_function("sq", lambda v: v ** 2)),
-        "f_neg": ((), lambda: g.register_function("neg", lambda v: -v)),
         "p_a": ((), lambda: g.add_probe(gr.ProbeSpec("pa", "a", gr.SPIKE_RASTER))),
         "p_out": ((), lambda: g.add_probe(gr.ProbeSpec("pout", "out", synapse=0.01))),
         "c1": (("n_in", "e_a"), lambda: g.connect(gr.ConnectionSpec("c1", "in", "a"))),
-        "c2": (("e_a", "e_b", "f_sq"), lambda: g.connect(gr.ConnectionSpec(
-            "c2", "a", "b", function_tag="sq", synapse=0.005))),
-        "c3": (("e_b", "n_mid", "f_neg"), lambda: g.connect(gr.ConnectionSpec(
-            "c3", "b", "mid", function_tag="neg", transform=[[2.0]]))),
+        "c2": (("e_a", "e_b"), lambda: g.connect(gr.ConnectionSpec(
+            "c2", "a", "b", function=square, synapse=0.005))),
+        "c3": (("e_b", "n_mid"), lambda: g.connect(gr.ConnectionSpec(
+            "c3", "b", "mid", function=c3_function, transform=[[2.0]]))),
         "c4": (("n_mid", "n_out"), lambda: g.connect(gr.ConnectionSpec(
             "c4", "mid", "out", synapse=0.01))),
     }
@@ -196,3 +231,9 @@ class TestCanonicalForm:
         g2 = small_graph()
         g2.connect(gr.ConnectionSpec("c", "in", "a"))
         assert g1.canonical_form() != g2.canonical_form()
+
+    def test_graphs_differing_only_in_a_function_differ(self):
+        first = build_in_order(lambda ready: ready[0])
+        assert first.canonical_form() == build_in_order(lambda ready: ready[0]).canonical_form()
+        other = build_in_order(lambda ready: ready[0], c3_function=square)
+        assert first.canonical_form() != other.canonical_form()

@@ -207,6 +207,12 @@ class TestQuantized:
                                         self.QSPEC, LIF)
         assert np.all(spikes == 0)
 
+    def test_sub_step_window_rejected(self):
+        # zero counted steps would make every rate 0 / 0
+        with pytest.raises(ValueError, match=r"window 0\.0004 s rounds to no step"):
+            measured_rate_curve(np.array([5.0]), 0.001, PARAMS, LIF,
+                                qspec=self.QSPEC, window=0.0004)
+
     def test_staircase_monotone_with_plateaus(self):
         J = np.linspace(0.0, 10.0, 501)
         window = 2.0

@@ -144,6 +144,11 @@ class TestClosedLoop:
         run = run_rover_task(task, CI_CFG, seed=0, controller="analytic")
         assert run.captures[0].t_capture == 0.0
 
+    def test_unknown_controller_rejected(self):
+        task = RoverTaskConfig(n_targets=1, duration_cap=0.01)
+        with pytest.raises(ValueError, match="'Neural'; choose one of neural, analytic"):
+            run_rover_task(task, CI_CFG, seed=0, controller="Neural")
+
     def test_analytic_oracle_captures(self):
         task = RoverTaskConfig(n_targets=4, duration_cap=30.0)
         run = run_rover_task(task, CI_CFG, seed=1, controller="analytic")

@@ -81,7 +81,10 @@ def engine_graph():
     reads, and every probe quantity, filtered and not (an ensemble's decoded
     output both ways), sampled every step and sparser."""
     g = gr.ModelGraph(dt=0.001)
-    g.register_function("zero_out", lambda v: np.zeros(2))
+
+    def zero_out(v):
+        return np.zeros(2)
+
     for nid, kind in (("stim", gr.EXTERNAL_INPUT), ("target", gr.EXTERNAL_INPUT),
                       ("decoded", gr.PASSTHROUGH), ("err", gr.PASSTHROUGH),
                       ("sink", gr.PASSTHROUGH), ("decoded2", gr.PASSTHROUGH),
@@ -97,7 +100,7 @@ def engine_graph():
         g.connect(gr.ConnectionSpec(cid, source, target, synapse=synapse, **kw))
 
     connect("c_in", "stim", "e0", None)
-    connect("c_learn", "e0", "decoded", 0.01, function_tag="zero_out",
+    connect("c_learn", "e0", "decoded", 0.01, function=zero_out,
             transform=np.array([[1.0, 0.3], [-0.2, 0.9]]),
             learning=gr.PESConfig(1e-2, "err"))
     connect("c_out", "decoded", "out", None)
@@ -107,11 +110,11 @@ def engine_graph():
     connect("c_01", "e0", "e1", 0.005)
     connect("c_12", "e1", "e2", None)
     connect("c_23", "e2", "e3", None)
-    connect("c_learn2", "e3", "decoded2", None, function_tag="zero_out",
+    connect("c_learn2", "e3", "decoded2", None, function=zero_out,
             learning=gr.PESConfig(5e-3, "c_err"))
     connect("c_mid", "decoded2", "mid", 0.01)
     connect("c_out2", "mid", "out2", 0.01)
-    connect("c_learn3", "e1", "err_out", 0.005, function_tag="zero_out",
+    connect("c_learn3", "e1", "err_out", 0.005, function=zero_out,
             learning=gr.PESConfig(2e-2, "err_out"))
     connect("c_tgt3", "target", "err_out", None, transform=-np.eye(2))
     for pid, target, quantity, tau, every in (
