@@ -22,8 +22,8 @@ _EXPORTS = {name: module for module, names in (
     ("engine", "Simulator adapt_signal pes_update"),
     ("graph", "ConnectionSpec Ensemble ExplicitTuning ModelGraph NodeSpec PESConfig "
               "ProbeSpec"),
-    ("neurons", "NeuronParams QuantizationSpec lif_rate quantize_weights relu_rate "
-                "solve_gain_bias step_spiking step_spiking_quantized"),
+    ("neurons", "NeuronParams QuantizationSpec lif_rate neuron_step quantize_weights "
+                "relu_rate solve_gain_bias"),
 ) for name in names.split()}
 
 __all__ = sorted(_EXPORTS)

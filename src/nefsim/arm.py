@@ -373,8 +373,8 @@ class ReachTask:
         unit="m", keys={"target_x": "reach target x", "target_y": "reach target y"}))
     duration: float = field(default=4.0, metadata=dict(
         key="reach_duration", unit="s", help="time per reach"))
-    n_reaches: int = field(default=50, metadata=dict(help="reaches per session"))
-    n_sessions: int = field(default=5, metadata=dict(help="sessions per controller"))
+    n_reaches: int = field(default=50, metadata=dict(help="reaches per session", positive=True))
+    n_sessions: int = field(default=5, metadata=dict(help="sessions per controller", positive=True))
     traj_sample_every: float = field(default=0.01, metadata=dict(
         unit="s", help="trajectory sampling period"))
 

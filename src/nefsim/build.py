@@ -10,8 +10,9 @@ regularized least squares on the rate-model activity matrix (a decoded
 connection's targets are its ``function`` applied to each point, the point
 itself when that is None), and fold decoder/transform/encoder chains into
 one float weight matrix per connection.  `lower` then copies the model for a
-backend: ``fixed`` adds a quantized copy of every weight matrix and selects
-quantized neuron stepping at run time.
+backend: ``fixed`` adds a quantized copy of every weight matrix.  Neuron
+dynamics are the Simulator's: ``neurons.neuron_step`` builds each ensemble's
+step for its model and backend, quantizing currents and state on ``fixed``.
 
 All randomness comes from per-ensemble streams derived from (seed, ensemble
 id, ensemble seed), so build results are independent of iteration order and
@@ -30,7 +31,6 @@ from .errors import BuildError, ShapeMismatchError, SingularSystemError
 from .neurons import (
     NeuronParams,
     QuantizationSpec,
-    SPIKING_MODELS,
     quantize_weights,
     rate,
     solve_gain_bias,
@@ -153,10 +153,6 @@ class CompiledEnsemble:
     bias: np.ndarray       # (n,)
     eval_points: np.ndarray | None = None
     identity_decoders: np.ndarray | None = None  # solved only if probed
-
-    @property
-    def spiking(self):
-        return self.neuron_model in SPIKING_MODELS
 
 
 @dataclass

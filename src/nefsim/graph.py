@@ -4,10 +4,11 @@ A ModelGraph collects ensembles, nodes, connections and probes; a decoded
 connection carries the function it computes (a vector -> vector callable,
 None for identity).  Construction-time checks catch structural mistakes
 (duplicate ids, unknown endpoints, bad transform shapes, learning on node
-sources); value-level invariants are deferred to ``validate()``, which
-returns diagnostics as data and changes nothing.  ``compile_graph`` runs it
-on every compile and refuses a graph that has any, so a graph may grow
-after a clean validation and compiles what it then holds.
+sources); ``validate()`` checks value-level invariants and the shapes again
+(a spec may change after it is connected), returns diagnostics as data and
+changes nothing.  ``compile_graph`` runs it on every compile and refuses a
+graph that has any, so a graph may grow after a clean validation and
+compiles what it then holds.
 """
 
 from __future__ import annotations
@@ -167,32 +168,30 @@ class ModelGraph:
             return self._nodes[id].dimensions
         raise UnknownEndpointError(f"no ensemble or node with id {id!r}")
 
-    def connect(self, spec: ConnectionSpec):
-        self._check_unused(spec.id)
+    def _decoded_dims(self, spec):
+        """(k, fault): the dims k a connection decodes, and what is wrong with
+        its transform's shape (None: the identity), or None."""
         src_dims = self._endpoint_dims(spec.source)
         tgt_dims = self._endpoint_dims(spec.target)
-        if spec.decoders is not None:
-            # explicit decoders define the decoded dimensionality directly
-            spec.decoders = np.atleast_2d(np.asarray(spec.decoders, dtype=float))
-            k = spec.decoders.shape[1]
+        if spec.decoders is not None:  # explicit decoders define k directly
+            k = np.shape(np.atleast_2d(spec.decoders))[1]
         elif spec.function is None:
             k = src_dims
         else:  # the function's output size, probed at zero
             k = np.atleast_1d(np.asarray(spec.function(np.zeros(src_dims)), float)).shape[0]
-        if spec.transform is None:
-            if tgt_dims != k:
-                raise ShapeMismatchError(
-                    f"connection {spec.id!r}: identity transform needs matching "
-                    f"dims (target {tgt_dims}, function output {k})"
-                )
-            spec.transform = np.eye(k)
-        else:
-            spec.transform = np.atleast_2d(np.asarray(spec.transform, dtype=float))
-            if spec.transform.shape != (tgt_dims, k):
-                raise ShapeMismatchError(
-                    f"connection {spec.id!r}: transform shape {spec.transform.shape} "
-                    f"!= ({tgt_dims}, {k})"
-                )
+        shape = (k, k) if spec.transform is None else np.shape(np.atleast_2d(spec.transform))
+        return k, (None if shape == (tgt_dims, k) else f"transform shape {shape} != "
+                   f"(target dims {tgt_dims}, decoded dims {k})")
+
+    def connect(self, spec: ConnectionSpec):
+        self._check_unused(spec.id)
+        k, fault = self._decoded_dims(spec)
+        if fault is not None:
+            raise ShapeMismatchError(f"connection {spec.id!r}: {fault}")
+        if spec.decoders is not None:
+            spec.decoders = np.atleast_2d(np.asarray(spec.decoders, dtype=float))
+        spec.transform = (np.eye(k) if spec.transform is None
+                          else np.atleast_2d(np.asarray(spec.transform, dtype=float)))
         if spec.learning is not None and spec.source not in self._ensembles:
             raise LearningOnNodeError(
                 f"connection {spec.id!r}: learning requires an ensemble source"
@@ -256,7 +255,10 @@ class ModelGraph:
             if node.kind not in NODE_KINDS:
                 bad("InvalidParam", node.id, f"unknown node kind {node.kind!r}")
 
-        for conn in self.connections:  # connect() checked endpoints and transforms
+        for conn in self.connections:  # connect() checked the endpoints
+            k, fault = self._decoded_dims(conn)
+            if fault is not None:
+                bad("ShapeMismatch", conn.id, fault)
             if conn.source in self._nodes:
                 if self._nodes[conn.source].kind == EXTERNAL_OUTPUT:
                     bad("InvalidParam", conn.id, "ExternalOutput nodes have no outbound connections")
@@ -264,7 +266,7 @@ class ModelGraph:
                     bad("InvalidParam", conn.id,
                         "functions and decoders apply to decoded ensemble outputs only")
             elif conn.decoders is not None:
-                n, k = self._ensembles[conn.source].n_neurons, conn.transform.shape[1]
+                n = self._ensembles[conn.source].n_neurons
                 if conn.learning is not None:
                     bad("InvalidParam", conn.id, "learned connections start from zero decoders")
                 elif conn.decoders.shape != (n, k):
@@ -293,9 +295,9 @@ class ModelGraph:
                         f"{err_conn.target!r}, so it carries neuron input, not an error")
                 else:
                     err_dims = err_conn.transform.shape[0]
-                if err_dims is not None and err_dims != conn.transform.shape[1]:
-                    bad("ShapeMismatch", conn.id, f"error dims {err_dims} != "
-                        f"connection output dims {conn.transform.shape[1]}")
+                if err_dims is not None and err_dims != k:
+                    bad("ShapeMismatch", conn.id,
+                        f"error dims {err_dims} != connection output dims {k}")
 
         # Passthrough cycles cannot be evaluated in one step.
         for nid in sorted(self._nodes.keys() - set(self.node_order())):

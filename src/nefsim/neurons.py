@@ -3,12 +3,13 @@
 Conventions
 -----------
 Input current J is unitless (1.0 is the spiking threshold for LIF).  Rate
-functions return Hz.  Spiking steppers return per-neuron spike *counts* for
-the step; counts above 1 can only occur for rectified-linear neurons driven
-past 1/dt.  Simulated spike trains communicate as counts/dt so their units
-match the rate curves.
+functions return Hz.  `neuron_step` is the one place where a neuron model and
+a backend choose the dynamics: its step returns activity in Hz and
+per-neuron spike *counts* for the step; counts above 1 can only occur for
+rectified-linear neurons driven past 1/dt.  Simulated spike trains
+communicate as counts/dt so their units match the rate curves.
 
-The fixed-point variants emulate an on-chip integer pipeline: membrane state
+The fixed-point step emulates an on-chip integer pipeline: membrane state
 lives on a 2**-(state_bits-8) grid (state_bits-wide integer with 8 integer
 bits of headroom) and input currents pass through the same shared-exponent
 mantissa grid used for weights.
@@ -17,6 +18,7 @@ mantissa grid used for weights.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -221,88 +223,89 @@ def quantize_current(J, qspec: QuantizationSpec):
     return np.ldexp(out, expo) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
-class SpikingState:
-    """Mutable per-neuron membrane state (voltage + remaining refractory)."""
+def neuron_step(model, n, dt, params: NeuronParams, qspec: QuantizationSpec | None = None):
+    """The update of `n` neurons of `model` over one `dt`: a function
+    J -> (activity in Hz, spike counts) that owns fresh membrane state.
 
-    __slots__ = ("v", "refractory", "_scratch")
+    Rate models return (rate, rate * dt), spiking ones (counts / dt, counts).
+    With `qspec` (the fixed-point backend) every current passes through
+    quantize_current and the voltage is rounded onto its state grid after
+    each update.  Model and backend are chosen here, once.
+    """
+    if qspec is None:
+        current, settle = partial(np.asarray, dtype=float), lambda v: None
+    else:
+        current = partial(quantize_current, qspec=qspec)
 
-    def __init__(self, n):
-        self.v = np.zeros(n)
-        self.refractory = np.zeros(n)
-        self._scratch = np.empty(n)
+        def settle(v):  # integer-state emulation
+            np.rint(np.divide(v, qspec.state_grid, out=v), out=v)  # grid: a power of two
+            v *= qspec.state_grid
+            np.minimum(v, qspec.state_max, out=v)
+
+    if model in RATE_MODELS:
+        curve = lif_rate if model == RATE_LIF else relu_rate
+
+        def step(J):
+            act = curve(current(J), params)
+            return act, act * dt
+        return step
+    if model not in SPIKING_MODELS:
+        raise ValueError(f"unknown neuron model {model!r}")
+    counts_of = (_lif if model == LIF else _relu)(n, dt, params, settle)
+
+    def step(J):
+        counts = counts_of(current(J))
+        return counts / dt, counts
+    return step
 
 
-def _step_lif(state, J, dt, params, qspec=None):
-    """One dt of LIF dynamics with fractional spike/refractory timing.
+def _lif(n, dt, params, settle):
+    """LIF dynamics with fractional spike/refractory timing: J -> spike counts.
 
     The voltage follows the zero-order-hold solution of tau_rc*v' = J - v over
     the part of the step outside refractory; threshold crossings are placed at
     their sub-step time so the long-run spike rate matches lif_rate(J).
-    With `qspec` the voltage is rounded onto its state grid after each update
-    (integer-state emulation).
     """
-    v, refractory, factor = state.v, state.refractory, state._scratch
-    refractory -= dt
-    # integration window within the step, shortened by remaining refractory
-    np.subtract(dt, refractory, out=factor)
-    np.minimum(np.maximum(factor, 0.0, out=factor), dt, out=factor)
-    factor *= -1.0 / params.tau_rc
-    np.expm1(factor, out=factor)
-    factor *= v - J  # = (J - v) * (1 - exp(-delta_t/tau_rc))
-    v += factor
-    np.maximum(v, 0.0, out=v)  # clamp below at 0
-    if qspec is not None:
-        np.rint(np.divide(v, qspec.state_grid, out=v), out=v)  # grid: a power of two
-        v *= qspec.state_grid
-        np.minimum(v, qspec.state_max, out=v)
-    spiked = v >= 1.0 - _SPIKE_EPS
-    idx = spiked.nonzero()[0]
-    if idx.size:
-        v_s = v[idx]
-        J_s = J[idx] if np.ndim(J) else np.full(v_s.shape, float(J))
-        # Sub-step spike time; J <= 1 can only be reached exactly at threshold.
-        overshoot = np.where(J_s > 1.0, (v_s - 1.0) / np.maximum(J_s - 1.0, 1e-300), 0.0)
-        overshoot = np.minimum(np.maximum(overshoot, 0.0), 1.0 - 1e-15)
-        t_spike = dt + params.tau_rc * np.log1p(-overshoot)
-        refractory[idx] = params.tau_ref + t_spike
-        v[idx] = 0.0
-    return spiked.astype(float)
+    v, refractory, factor = np.zeros(n), np.zeros(n), np.empty(n)
+
+    def counts(J):
+        np.subtract(refractory, dt, out=refractory)
+        # integration window within the step, shortened by remaining refractory
+        np.subtract(dt, refractory, out=factor)
+        np.minimum(np.maximum(factor, 0.0, out=factor), dt, out=factor)
+        np.multiply(factor, -1.0 / params.tau_rc, out=factor)
+        np.expm1(factor, out=factor)
+        np.multiply(factor, v - J, out=factor)  # = (J - v) * (1 - exp(-delta_t/tau_rc))
+        np.add(v, factor, out=v)
+        np.maximum(v, 0.0, out=v)  # clamp below at 0
+        settle(v)
+        spiked = v >= 1.0 - _SPIKE_EPS
+        idx = spiked.nonzero()[0]
+        if idx.size:
+            v_s = v[idx]
+            J_s = J[idx] if np.ndim(J) else np.full(v_s.shape, float(J))
+            # Sub-step spike time; J <= 1 can only be reached exactly at threshold.
+            overshoot = np.where(J_s > 1.0, (v_s - 1.0) / np.maximum(J_s - 1.0, 1e-300), 0.0)
+            overshoot = np.minimum(np.maximum(overshoot, 0.0), 1.0 - 1e-15)
+            t_spike = dt + params.tau_rc * np.log1p(-overshoot)
+            refractory[idx] = params.tau_ref + t_spike
+            v[idx] = 0.0
+        return spiked.astype(float)
+    return counts
 
 
-def _step_relu(state, J, dt, params, qspec=None):
-    """One dt of spiking rectified-linear dynamics (soft reset)."""
-    v = state.v
-    inc = dt * params.amplitude * np.maximum(J, 0.0)
-    v += inc
-    if qspec is not None:
-        np.rint(np.divide(v, qspec.state_grid, out=v), out=v)  # grid: a power of two
-        v *= qspec.state_grid
-        np.minimum(v, qspec.state_max, out=v)
-    spikes = np.where(v >= 1.0 - _SPIKE_EPS, np.floor(v + _SPIKE_EPS), 0.0)
-    v -= spikes
-    np.maximum(v, 0.0, out=v)
-    return spikes
+def _relu(n, dt, params, settle):
+    """Spiking rectified-linear dynamics (soft reset): J -> spike counts."""
+    v = np.zeros(n)
 
-
-def _step_spiking(state, J, dt, params, model, qspec=None):
-    """The spiking-model dispatch; with `qspec`, v lives on its state grid."""
-    if model == LIF:
-        return _step_lif(state, J, dt, params, qspec)
-    if model == SPIKING_RELU:
-        return _step_relu(state, J, dt, params, qspec)
-    raise ValueError(f"{model!r} is not a spiking model")
-
-
-def step_spiking(state: SpikingState, J, dt, params: NeuronParams, model):
-    """Advance spiking neurons one step; returns per-neuron spike counts."""
-    return _step_spiking(state, np.asarray(J, dtype=float), dt, params, model)
-
-
-def step_spiking_quantized(state: SpikingState, J, dt, params: NeuronParams,
-                           qspec: QuantizationSpec, model):
-    """Fixed-point variant: currents on the mantissa grid, voltage on the
-    state grid.  Otherwise identical dynamics to step_spiking."""
-    return _step_spiking(state, quantize_current(J, qspec), dt, params, model, qspec)
+    def counts(J):
+        np.add(v, dt * params.amplitude * np.maximum(J, 0.0), out=v)
+        settle(v)
+        spikes = np.where(v >= 1.0 - _SPIKE_EPS, np.floor(v + _SPIKE_EPS), 0.0)
+        np.subtract(v, spikes, out=v)
+        np.maximum(v, 0.0, out=v)
+        return spikes
+    return counts
 
 
 def measured_rate_curve(J_points, dt, params: NeuronParams, model,
@@ -311,21 +314,18 @@ def measured_rate_curve(J_points, dt, params: NeuronParams, model,
     """Steady-state firing rate at each current, measured by simulation.
 
     Each point is an independent constant-current run (they are stepped
-    together for speed but share no state).  With `qspec` each constant
-    current is quantized once and the voltage steps on the state grid, as in
-    step_spiking_quantized: the curve is the fixed-point staircase.
+    together for speed but share no state) through neuron_step, so with
+    `qspec` the curve is the fixed-point staircase.
     """
     J = np.asarray(J_points, dtype=float)
-    if qspec is not None:
-        J = quantize_current(J, qspec)
-    state = SpikingState(J.size)
+    step = neuron_step(model, J.size, dt, params, qspec)
     n_settle = int(round(settle / dt))
     n_window = int(round(window / dt))
     if n_window < 1:
         raise ValueError(f"window {window!r} s rounds to no step of dt = {dt!r} s")
     for _ in range(n_settle):
-        _step_spiking(state, J, dt, params, model, qspec)
+        step(J)
     counts = np.zeros(J.size)
     for _ in range(n_window):
-        counts += _step_spiking(state, J, dt, params, model, qspec)
+        counts += step(J)[1]
     return counts / (n_window * dt)

@@ -233,7 +233,7 @@ def compile_rover_net(cfg: RoverNetConfig, backend, seed=0):
 @dataclass
 class RoverTaskConfig:
     """Target-seeking task; each field is a `[rover]` config key."""
-    n_targets: int = field(default=6, metadata=dict(help="targets per run"))
+    n_targets: int = field(default=6, metadata=dict(help="targets per run", positive=True))
     duration_cap: float = field(default=30.0, metadata=dict(
         unit="s", help="time allowed per target"))
     capture_radius: float = field(default=0.5, metadata=dict(

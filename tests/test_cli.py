@@ -1,4 +1,5 @@
 import errno
+import importlib
 import os
 import re
 import subprocess
@@ -311,6 +312,13 @@ class TestNeuronKeys:
                       "limit_q1", "limit_q2", "limit_q3")),
         *(("rover", "[rover]\n", f"{key} = 0", f"[rover] {key} must be > 0, got 0.0")
           for key in ("radius", "wheelbase", "max_steer")),
+        # a zero count would leave a header-only CSV standing in for a failure
+        ("solve", "[neurons]\n", "solve_points = 0", "[neurons] solve_points must be > 0, got 0"),
+        ("convert", "[convert]\nlayers = 4 6 2\n", "n_inputs = 0",
+         "[convert] n_inputs must be > 0, got 0"),
+        ("rover", "[rover]\n", "n_targets = 0", "[rover] n_targets must be > 0, got 0"),
+        ("arm", "[arm]\n", "n_reaches = 0", "[arm] n_reaches must be > 0, got 0"),
+        ("arm", "[arm]\n", "n_sessions = 0", "[arm] n_sessions must be > 0, got 0"),
     ], ids=["tune-negative-tau_rc", "solve-zero-tau_rc", "convert-negative-amplitude",
             "convert-zero-scale_firing_rates", "convert-short-presentation_time",
             "tune-negative-tune_points", "solve-negative-solve_points",
@@ -324,7 +332,8 @@ class TestNeuronKeys:
             "tune-sub-step-tune_window", "arm-zero-payload_mass", "arm-zero-path_tau",
             "arm-zero-vel_bound", "arm-zero-limit_q1", "arm-zero-limit_q2",
             "arm-zero-limit_q3", "rover-zero-radius", "rover-zero-wheelbase",
-            "rover-zero-max_steer"])
+            "rover-zero-max_steer", "solve-zero-solve_points", "convert-zero-n_inputs",
+            "rover-zero-n_targets", "arm-zero-n_reaches", "arm-zero-n_sessions"])
     def test_invalid_value_exits_1(self, tmp_path, capsys, command, cfg_text,
                                    override, message):
         cfg = write_cfg(tmp_path, cfg_text + override + "\n")
@@ -378,6 +387,16 @@ class TestThreadCount:
 
 
 class TestStartup:
+    def test_every_export_resolves(self):
+        """Each name in nefsim.__all__ is the object its submodule in the lazy
+        export table defines; a name the table lacks is an AttributeError."""
+        assert nefsim.__all__ == sorted(nefsim._EXPORTS)
+        for name in nefsim.__all__:
+            module = importlib.import_module(f"nefsim.{nefsim._EXPORTS[name]}")
+            assert getattr(nefsim, name) is getattr(module, name), name
+        with pytest.raises(AttributeError, match="no attribute 'step_spiking'"):
+            nefsim.step_spiking
+
     def test_scipy_loads_only_for_a_decoder_solve(self, tmp_path):
         """tune, convert and arm solve no decoders, so in a fresh interpreter
         they run without loading scipy; solve loads it for its Cholesky."""

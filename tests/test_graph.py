@@ -151,6 +151,26 @@ class TestValidation:
         with pytest.raises(BuildError, match="into_b"):
             compile_graph(g)
 
+    def test_transform_reshaped_after_connect_rejected(self):
+        # unchecked, the (3, 2) transform fails inside numpy at build time
+        g = small_graph()
+        g.connect(gr.ConnectionSpec("c", "in", "a"))
+        g.connection("c").transform = np.ones((3, 2))
+        assert [(d.code, d.subject, d.message) for d in g.validate()] == [
+            ("ShapeMismatch", "c", "transform shape (3, 2) != (target dims 2, decoded dims 2)")]
+        with pytest.raises(BuildError, match=r"\[ShapeMismatch\] c: transform shape"):
+            compile_graph(g)
+
+    def test_node_transform_reshaped_after_connect_rejected(self):
+        # unchecked, the wrong column count fails only inside Simulator.step
+        g = small_graph()
+        g.add_node(gr.NodeSpec("mid", 2, gr.PASSTHROUGH))
+        g.connect(gr.ConnectionSpec("c", "in", "mid"))
+        g.connection("c").transform = np.ones((2, 3))
+        with pytest.raises(BuildError, match=r"\[ShapeMismatch\] c: transform shape "
+                           r"\(2, 3\) != \(target dims 2, decoded dims 2\)"):
+            compile_graph(g)
+
     def test_graph_grows_after_clean_validation(self):
         g = small_graph()
         g.connect(gr.ConnectionSpec("c", "in", "a"))

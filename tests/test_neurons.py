@@ -15,16 +15,14 @@ from nefsim.neurons import (
     RATE_LIF,
     RATE_RELU,
     SPIKING_RELU,
-    SpikingState,
     lif_current_for_rate,
     lif_rate,
     measured_rate_curve,
+    neuron_step,
     quantize_current,
     quantize_weights,
     relu_rate,
     solve_gain_bias,
-    step_spiking,
-    step_spiking_quantized,
 )
 
 PARAMS = NeuronParams()
@@ -168,26 +166,25 @@ class TestGainBias:
 class TestSpiking:
     def test_silent_at_zero_current(self):
         for model in (LIF, SPIKING_RELU):
-            state = SpikingState(4)
+            step = neuron_step(model, 4, 0.001, PARAMS)
             total = 0.0
             for _ in range(2000):
-                total += step_spiking(state, np.zeros(4), 0.001, PARAMS, model).sum()
+                total += step(np.zeros(4))[1].sum()
             assert total == 0.0
 
     def test_relu_exact_period(self):
         # J=100 gains 0.1 of threshold per step: one spike every 10 steps
-        state = SpikingState(1)
-        spikes = [step_spiking(state, np.array([100.0]), 0.001, PARAMS,
-                               SPIKING_RELU)[0] for _ in range(200)]
+        step = neuron_step(SPIKING_RELU, 1, 0.001, PARAMS)
+        spikes = [step(np.array([100.0]))[1][0] for _ in range(200)]
         settled = spikes[20:]
         assert all(s == 1.0 for s in settled[9::10])
         assert sum(settled) == pytest.approx(len(settled) / 10)
 
     def test_lif_spike_count_matches_rate(self):
-        state = SpikingState(1)
+        step = neuron_step(LIF, 1, 0.001, PARAMS)
         count = 0.0
         for _ in range(10000):
-            count += step_spiking(state, np.array([2.0]), 0.001, PARAMS, LIF)[0]
+            count += step(np.array([2.0]))[1][0]
         assert abs(count - 630.0) <= 2.0
 
     def test_spiking_rate_consistency_grid(self):
@@ -198,13 +195,46 @@ class TestSpiking:
         assert np.all(np.abs(measured - expected) <= tol)
 
 
+class TestNeuronStep:
+    def test_rate_models_return_rate_and_pseudo_counts(self):
+        J = np.array([-1.0, 0.5, 1.0, 2.0, 30.0])
+        for model, curve in ((RATE_LIF, lif_rate), (RATE_RELU, relu_rate)):
+            act, counts = neuron_step(model, J.size, 0.001, PARAMS)(J)
+            assert same_bits(act, curve(J, PARAMS))
+            assert same_bits(counts, act * 0.001)
+
+    def test_fixed_point_rate_reads_quantized_currents(self):
+        qspec = QuantizationSpec(weight_mantissa_bits=4)
+        J = np.linspace(0.0, 10.0, 11) + 0.37
+        act, _ = neuron_step(RATE_LIF, J.size, 0.001, PARAMS, qspec)(J)
+        assert same_bits(act, lif_rate(quantize_current(J, qspec), PARAMS))
+
+    def test_spiking_activity_is_counts_over_dt(self):
+        for model in (LIF, SPIKING_RELU):
+            step = neuron_step(model, 3, 0.001, PARAMS)
+            for _ in range(50):
+                act, counts = step(np.array([0.5, 5.0, 2500.0]))
+                assert same_bits(act, counts / 0.001)
+
+    def test_each_step_owns_its_state(self):
+        J = np.array([1.5, 8.0])
+        for model in (LIF, SPIKING_RELU):
+            runs = []
+            for _ in range(2):  # the second is built after the first has run
+                step = neuron_step(model, J.size, 0.001, PARAMS)
+                runs.append([step(J)[1] for _ in range(100)])
+            assert same_bits(runs[0], runs[1])
+
+    def test_unknown_model_rejected(self):
+        with pytest.raises(ValueError, match="unknown neuron model 'izhikevich'"):
+            neuron_step("izhikevich", 1, 0.001, PARAMS)
+
+
 class TestQuantized:
     QSPEC = QuantizationSpec()
 
     def test_silent_at_zero(self):
-        state = SpikingState(3)
-        spikes = step_spiking_quantized(state, np.zeros(3), 0.001, PARAMS,
-                                        self.QSPEC, LIF)
+        spikes = neuron_step(LIF, 3, 0.001, PARAMS, self.QSPEC)(np.zeros(3))[1]
         assert np.all(spikes == 0)
 
     def test_sub_step_window_rejected(self):
@@ -343,3 +373,15 @@ class TestQuantizerProperties:
         rel = np.abs(Jq[nonzero] - J[nonzero]) / np.abs(J[nonzero])
         assert np.all(rel < 1.0 / qspec.mantissa_max)
         assert same_bits(Jq[J == 0.0], np.zeros(np.count_nonzero(J == 0.0)))  # +0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(J=hnp.arrays(np.float64, st.integers(1, 8), elements=quantizable),
+           qspec=qspecs)
+    @example(J=np.array([np.finfo(float).max, -1.79e308, 2.0 ** -1022]),
+             qspec=QuantizationSpec(weight_mantissa_bits=2))
+    @example(J=np.array([5e-324, -2.0 ** -1060, 0.0, -0.0]), qspec=QuantizationSpec())
+    def test_current_requantizes_to_itself(self, J, qspec):
+        # a step quantizes its current every step, so a constant current
+        # must stay on its grid bit for bit, saturated values included
+        Jq = quantize_current(J, qspec)
+        assert same_bits(quantize_current(Jq, qspec), Jq)
