@@ -6,9 +6,15 @@ Order within a step:
    output node that a PES rule reads as its error is computed from them and
    the *previous* step's filtered/raw presynaptic signals (within-step
    node-to-node chains resolve in dependency order);
-2. ensemble input currents are assembled from the same connection outputs,
-   checked finite, and each ensemble advances through its ``neuron_step``
-   (built for its model and the backend), giving activity (Hz) and counts;
+2. the ensembles step in groups: runs of consecutive ensembles that share
+   a neuron model and its parameters, split wherever an ensemble reads an
+   earlier member's activity through an unfiltered connection (it needs
+   that member's new activity).  Each member's input current is assembled
+   from the same connection outputs into its slice of the group's buffer and
+   checked finite, and the group advances through one ``neuron_step`` (built
+   for its model and the backend), giving activity (Hz) and counts, which
+   each member reads as its slice.  This equals one step per ensemble bit
+   for bit, since every neuron update is elementwise;
 3. every connection's filter updates with the new signal, y <- a*y + (1-a)*x;
 4. PES updates (``pes_delta``) run on the freshly filtered activities, using
    the error from step 1 (one-step-delayed error): an error node's value or
@@ -28,7 +34,7 @@ error and probe is read one way, fixed when the simulator is built: a read
 (weights id or None, signal id) outputs ``_w[weights id] @ values[signal
 id]``, or the signal itself for None; a filter is a (state id, alpha, read)
 entry.  ``reset()`` restores the compiled weights, zeroes the signals and
-builds each ensemble's neuron step afresh.
+builds each group's neuron step afresh, over all of its members' neurons.
 
 Everything is deterministic given (model, state, inputs); no randomness and
 no parallelism-dependent reductions live here.
@@ -111,7 +117,30 @@ class Simulator:
         self._inputs = [(n.id, n.dimensions) for n in model.nodes
                         if n.kind == gr.EXTERNAL_INPUT]
         self._output_ids = [n.id for n in model.nodes if n.kind == gr.EXTERNAL_OUTPUT]
-        self._ensembles = [(e, e.gain / e.radius, inbound[e.id]) for e in model.ensembles]
+        # stage 2's groups: runs of consecutive ensembles of one (model,
+        # params) that take one neuron update over one current buffer.  An
+        # ensemble that reads an earlier member's activity unfiltered needs
+        # its new value, so it starts a new group.
+        runs = []
+        for e in model.ensembles:
+            run = runs[-1] if runs else []
+            if (run and (run[0].neuron_model, run[0].params) == (e.neuron_model, e.params)
+                    and not {sid for _, sid in inbound[e.id]} & {m.id for m in run}):
+                run.append(e)
+            else:
+                runs.append([e])
+        # (first ensemble, current buffer, members, output slices or None): a
+        # member drives its part of the buffer and binds its slice of the
+        # output; a group of one binds the whole output
+        self._groups = []
+        for run in runs:
+            J, start, members, parts = np.empty(sum(e.n for e in run)), 0, [], []
+            for e in run:
+                sl = slice(start, start + e.n)
+                members.append((e, e.gain / e.radius, inbound[e.id], J[sl]))
+                parts.append((e.id, sl))
+                start += e.n
+            self._groups.append((run[0], J, members, parts if len(run) > 1 else None))
         # the matrix each connection (and decoded ensemble probe) multiplies by
         self._compiled_w = {c.id: c.weights if q is None else c.quantized_weights
                             for c in model.connections}
@@ -163,8 +192,8 @@ class Simulator:
         m = self.model
         self.t = 0.0
         self.step_index = 0
-        self._neurons = {e.id: neuron_step(e.neuron_model, e.n, self.dt, e.params,
-                                           self._qspec) for e in m.ensembles}
+        self._neurons = [(neuron_step(e.neuron_model, J.size, self.dt, e.params, self._qspec),
+                          J, members, parts) for e, J, members, parts in self._groups]
         # one signal table keyed by graph id, spike counts by (id, SPIKE_RASTER)
         self._values = {sid: np.zeros(n) for sid, n in self._sizes.items()}
         # a learned connection's weights are replaced after each PES update
@@ -178,14 +207,16 @@ class Simulator:
         return self._values[ens_id]
 
     # -- stepping -----------------------------------------------------------
-    def _drive(self, target, size, reads, gain=None, bias=None):
-        """Sum of the reads into a node (or an ensemble's current), checked finite."""
+    def _drive(self, target, total, reads, gain=None, bias=None):
+        """Sum of the reads into a node (or an ensemble's current, bias + gain
+        * sum), written over `total` and checked finite."""
         weights, values = self._w, self._values
-        total = np.zeros(size)
+        total.fill(0.0)
         for wid, sid in reads:
             total += values[sid] if wid is None else weights[wid] @ values[sid]
         if gain is not None:
-            total = bias + gain * total
+            total *= gain
+            total += bias
         if not math.isfinite(total.sum()):
             kind = "node" if gain is None else "ensemble"
             conns = [c.id for c in self.model.connections if c.target == target]
@@ -210,13 +241,19 @@ class Simulator:
                 raise NonFiniteSignalError(f"non-finite input for node {nid!r}")
             values[nid] = v
         for nid, dims, reads in self._pre_nodes:
-            values[nid] = self._drive(nid, dims, reads)
+            values[nid] = self._drive(nid, np.empty(dims), reads)
 
-        # (2) ensemble currents, then neuron updates; a later ensemble reads
-        # an earlier one's new activity
-        for e, gain_over_radius, reads in self._ensembles:
-            J = self._drive(e.id, e.n, reads, gain_over_radius, e.bias)
-            values[e.id], values[e.id, gr.SPIKE_RASTER] = self._neurons[e.id](J)
+        # (2) each group's currents, then its one neuron update; a later
+        # group reads an earlier one's new activity
+        for step, J, members, parts in self._neurons:
+            for e, gain_over_radius, reads, J_e in members:
+                self._drive(e.id, J_e, reads, gain_over_radius, e.bias)
+            act, counts = step(J)
+            if parts is None:  # a group of one, e: no slicing
+                values[e.id], values[e.id, gr.SPIKE_RASTER] = act, counts
+            else:
+                for eid, sl in parts:
+                    values[eid], values[eid, gr.SPIKE_RASTER] = act[sl], counts[sl]
 
         # (3) connection filters see the new signals
         self._filter(self._filters)
@@ -240,7 +277,7 @@ class Simulator:
 
         # (5) outputs and probes from post-update state
         for nid, dims, reads in self._post_nodes:
-            values[nid] = self._drive(nid, dims, reads)
+            values[nid] = self._drive(nid, np.empty(dims), reads)
         self.step_index += 1
         self.t = self.step_index * dt
         self._filter(self._probe_filters)

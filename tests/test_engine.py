@@ -5,7 +5,7 @@ from nefsim import graph as gr
 from nefsim.build import FIXED_POINT, REFERENCE, compile_graph
 from nefsim.engine import Simulator, adapt_signal, pes_delta, pes_update
 from nefsim.errors import DivergedLearningError, NonFiniteSignalError
-from nefsim.neurons import lif_rate
+from nefsim.neurons import ALL_MODELS, lif_rate
 from tests.conftest import channel_graph, learning_graph
 
 
@@ -143,6 +143,90 @@ class TestStep:
         sim.reset()
         second = [sim.step(inputs)["out"].copy() for _ in range(100)]
         assert np.array_equal(np.array(first), np.array(second))
+
+
+def pair_graph(model, members, link=None):
+    """Ensembles `members` of one model, each (id, size, seed) driven by its
+    own input node and read by its own output node, with a raster and a
+    decoded-output probe each; `link` (source, target) adds an unfiltered
+    connection between two of them."""
+    g = gr.ModelGraph(dt=0.001)
+    for eid, n, seed in members:
+        g.add_node(gr.NodeSpec(f"in_{eid}", 1, gr.EXTERNAL_INPUT))
+        g.add_node(gr.NodeSpec(f"out_{eid}", 1, gr.EXTERNAL_OUTPUT))
+        g.add_ensemble(gr.Ensemble(eid, n_neurons=n, dimensions=1,
+                                   neuron_model=model, seed=seed))
+        g.connect(gr.ConnectionSpec(f"c_in_{eid}", f"in_{eid}", eid))
+        g.connect(gr.ConnectionSpec(f"c_out_{eid}", eid, f"out_{eid}", synapse=0.01))
+        g.add_probe(gr.ProbeSpec(f"spk_{eid}", eid, gr.SPIKE_RASTER))
+        g.add_probe(gr.ProbeSpec(f"dec_{eid}", eid, gr.DECODED_OUTPUT))
+    if link is not None:
+        g.connect(gr.ConnectionSpec("c_link", *link))
+    return g
+
+
+class TestGroups:
+    """Consecutive ensembles of one model take one neuron update."""
+
+    @pytest.mark.parametrize("backend", [REFERENCE, FIXED_POINT])
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_members_step_as_if_each_ran_alone(self, model, backend):
+        members = (("a", 37, 4), ("b", 50, 9))
+        drives = {"a": lambda t: 0.9 * np.sin(9 * t), "b": lambda t: np.cos(5 * t)}
+
+        def run(ms):
+            sim = Simulator(compile_graph(pair_graph(model, ms), backend=backend, seed=2))
+            outs = [sim.step({f"in_{e}": (drives[e](i * sim.dt),) for e, _, _ in ms})
+                    for i in range(200)]
+            return sim, outs, sim.probe_tables()
+
+        together, outs, tables = run(members)
+        assert [len(m) for _, _, m, _ in together._groups] == [2]
+        for member in members:
+            eid = member[0]
+            _, outs_alone, alone = run([member])
+            assert np.any(tables[f"dec_{eid}"].values != 0.0)
+            for pid in (f"spk_{eid}", f"dec_{eid}"):
+                assert tables[pid].values.tobytes() == alone[pid].values.tobytes(), pid
+            assert all(o[f"out_{eid}"].tobytes() == a[f"out_{eid}"].tobytes()
+                       for o, a in zip(outs, outs_alone))
+
+    @pytest.mark.parametrize("backend", [REFERENCE, FIXED_POINT])
+    def test_unfiltered_chain_is_not_merged(self, backend):
+        # b reads a's new activity, so it must be stepped after a
+        g = pair_graph("rate_rectified_linear", (("a", 30, 1), ("b", 20, 2)),
+                       link=("a", "b"))
+        sim = Simulator(compile_graph(g, backend=backend, seed=0))
+        first = []
+        for drive in (0.9, -0.9):
+            sim.reset()
+            sim.step({"in_a": (drive,), "in_b": (0.0,)})
+            first.append(sim.last_activity("b").copy())
+        assert not np.array_equal(*first)
+
+    @pytest.mark.parametrize("backend", [REFERENCE, FIXED_POINT])
+    def test_reader_listed_before_its_source_reads_the_previous_step(self, backend):
+        # a reads b, which steps after it: a's first step sees b's zero start
+        g = pair_graph("rate_rectified_linear", (("a", 30, 1), ("b", 20, 2)),
+                       link=("b", "a"))
+        sim = Simulator(compile_graph(g, backend=backend, seed=0))
+        runs = []
+        for drive in (0.9, -0.9):
+            sim.reset()
+            runs.append([])
+            for _ in range(2):
+                sim.step({"in_a": (0.2,), "in_b": (drive,)})
+                runs[-1].append(sim.last_activity("a").copy())
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert not np.array_equal(runs[0][1], runs[1][1])  # then it reads b's
+
+    @pytest.mark.parametrize("backend", [REFERENCE, FIXED_POINT])
+    def test_non_finite_current_names_its_member(self, backend):
+        g = pair_graph("lif", (("a", 20, 1), ("b", 20, 2)))
+        sim = Simulator(compile_graph(g, backend=backend, seed=0))
+        with pytest.raises(NonFiniteSignalError, match="ensemble 'b'"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                sim.step({"in_a": (0.5,), "in_b": (1e307,)})
 
 
 class TestRun:

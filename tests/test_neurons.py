@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from nefsim.errors import InfeasibleTuningError
 from nefsim.neurons import (
+    ALL_MODELS,
     LIF,
     NeuronParams,
     QuantizationSpec,
@@ -385,3 +386,46 @@ class TestQuantizerProperties:
         # must stay on its grid bit for bit, saturated values included
         Jq = quantize_current(J, qspec)
         assert same_bits(quantize_current(Jq, qspec), Jq)
+
+
+@st.composite
+def split_drives(draw):
+    """(n1, steps): several steps of currents over n1 + n2 neurons, split after
+    the first n1.  Magnitudes run from 1e-300 to past 1.765e308, where
+    quantize_current saturates on every grid; each part draws its own."""
+    n1, n2 = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    magnitude = st.one_of(
+        st.floats(-2.0, 40.0),  # the operating range, where spikes come
+        st.builds(lambda sign, k: sign * 10.0 ** k, st.sampled_from([-1.0, 1.0]),
+                  st.floats(-300.0, 308.0)),
+        st.sampled_from([0.0, 1.0, 1.6e308, -1.78e308, np.finfo(float).max]))
+    steps = draw(st.lists(hnp.arrays(np.float64, n1 + n2, elements=magnitude),
+                          min_size=1, max_size=20))
+    return n1, steps
+
+
+class TestStepOverAConcatenation:
+    """A step of n1 + n2 neurons is a step of n1 beside one of n2, bit for
+    bit: the engine steps consecutive ensembles of one model as one group,
+    and measured_rate_curve steps its points together, on this property."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(model=st.sampled_from(ALL_MODELS),
+           qspec=st.sampled_from([None, QuantizationSpec(), QuantizationSpec(2, 8)]),
+           drives=split_drives())
+    @example(model=LIF, qspec=QuantizationSpec(),
+             drives=(2, [np.array([1.79e308, 3.0, 2.0, 1e-300])] * 3))
+    @example(model=RATE_RELU, qspec=QuantizationSpec(2, 8),
+             drives=(1, [np.array([0.7, 1.6e308, -5.0])] * 2))
+    def test_one_step_over_the_whole_equals_one_per_part(self, model, qspec, drives):
+        n1, steps = drives
+        n = steps[0].size
+        whole = neuron_step(model, n, 0.001, PARAMS, qspec)
+        parts = (neuron_step(model, n1, 0.001, PARAMS, qspec),
+                 neuron_step(model, n - n1, 0.001, PARAMS, qspec))
+        for J in steps:
+            with np.errstate(over="ignore"):  # a fixed state past state_max overflows its grid
+                act, counts = whole(J)
+                (act1, counts1), (act2, counts2) = parts[0](J[:n1].copy()), parts[1](J[n1:].copy())
+            assert same_bits(act, np.concatenate([act1, act2]))
+            assert same_bits(counts, np.concatenate([counts1, counts2]))
